@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -37,9 +38,9 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_floats(text: str, want: int, what: str) -> List[float]:
+def _parse_floats(tokens: Sequence[str], want: int, what: str) -> List[float]:
     try:
-        values = [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise _UsageError("%s: %s" % (what, exc)) from exc
     if len(values) != want:
@@ -70,7 +71,7 @@ def _space(args) -> Space:
 
 
 def _point(space: Space, text: str, what: str) -> ProjPoint:
-    return space.normalize(_parse_floats(text, space.n + 1, what))
+    return space.normalize(_parse_floats(text.split(","), space.n + 1, what))
 
 
 def _plane(space: Space, payload, what: str) -> MPlane:
@@ -92,20 +93,34 @@ def _cmd_dist(args) -> object:
 
 
 def _dist_bulk(space: Space, args) -> object:
+    """Measure all rows as one batch.
+
+    Errors come in file order: rows are parsed up to the first malformed
+    one, whose usage error is raised only if the rows before it measure
+    without error, and the bad point reported is the first one (x before
+    y).  Points are checked before pairs are measured, so a bad point is
+    reported even when an earlier pair cannot be measured.
+    """
     try:
         with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise _UsageError("--pairs: cannot read %r (%s)" % (args.pairs, exc)) from exc
     width = 2 * (space.n + 1)
-    out = []
+    values, malformed = [], None
     for lineno, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
-        values = _parse_floats(",".join(row), width, "--pairs row %d" % lineno)
-        x = space.normalize(values[: space.n + 1])
-        y = space.normalize(values[space.n + 1 :])
-        out.append(distance(space, x, y, args.tol).to_dict())
+        try:
+            if len(row) != width:
+                raise _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
+            values.append(_parse_floats(row, width, "--pairs row %d" % lineno))
+        except _UsageError as exc:
+            malformed = exc
+            break
+    # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
+    points = space.normalize(np.array(values, dtype=float).reshape(-1, space.n + 1))
+    out = [m.to_dict() for m in distance(space, points[0::2], points[1::2], args.tol)]
+    if malformed is not None:
+        raise malformed
     return out
 
 
@@ -178,6 +193,7 @@ def _cmd_transform(args) -> object:
     return payload
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ckgeo", description=__doc__)
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)

@@ -8,6 +8,10 @@ Monomial values (a sign and one integer exponent per characteristic) and only
 turned into numbers once the whole numerator/denominator bookkeeping is done.
 The convention k**0 == 1 holds even for k == 0, and a division by k_l is legal
 exactly when the accumulated exponent of k_l stays nonnegative.
+
+The evaluated tables of one (signature, m) combination are turned once into
+the index and coefficient arrays of ProductArrays, whose dot and cross
+methods are the one product path for points (m = 0) and m-planes alike.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
+
+import numpy as np
 
 from .errors import NonDivisible
 
@@ -246,3 +252,70 @@ def plane_tables(
         for a, b in itertools.combinations(tuples, 2)
     }
     return tuples, dot, cross
+
+
+@dataclass(frozen=True)
+class ProductArrays:
+    """The products of one (signature, m) as arrays over a minor vector.
+
+    A point is the m = 0 case: its minors are its coordinates.  `rows`
+    holds the row tuple of each minor in lexicographic order, `weights` its
+    dot coefficient.  The minor pairs a < b with a
+    nonzero cross coefficient are listed twice: `ab` holds the positions
+    a..., b... and `ba` the positions b..., a..., so that x[ab] * y[ba] is
+    x_a y_b followed by x_b y_a.  `signs` (pairs x 2) holds each pair's
+    coefficient in its first column and 1 in its second.  Both methods work
+    on one minor vector or on stacks of them (any leading axes).  They sum
+    with numpy's vecdot and vecmat, which add each row's terms in the same
+    order whatever the stack size or memory alignment, so a pair gives the
+    same bits alone as in a stack; results of matmul depend on both.
+    """
+
+    rows: np.ndarray
+    weights: np.ndarray
+    ab: np.ndarray
+    ba: np.ndarray
+    signs: np.ndarray
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Weighted dot product sum w_i x_i y_i over the last axis."""
+        return np.vecdot(self.weights * x, y)
+
+    def cross(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Cross radicand sum c_ab (x_a y_b - x_b y_a)^2 and its term scale.
+
+        The scale is the same sum with every |c_ab| = 1, the size the
+        radicand's rounding is measured against; both come from one pass.
+        """
+        terms = x.take(self.ab, axis=-1) * y.take(self.ba, axis=-1)
+        half = len(self.signs)
+        minor = terms[..., :half] - terms[..., half:]
+        sums = np.vecmat(minor * minor, self.signs)
+        return sums[..., 0], sums[..., 1]
+
+
+@lru_cache(maxsize=None)
+def product_arrays(sig: Tuple[int, ...], m: int) -> ProductArrays:
+    """ProductArrays of a (signature, m) combination, built once per process."""
+    if m == 0:
+        tuples = tuple((i,) for i in range(len(sig) + 1))
+        weights = cumulative_products(sig)
+        cross = point_cross_table(sig)
+    else:
+        tuples, dot, cross = plane_tables(sig, m)
+        weights = [dot[t] for t in tuples]
+        position = {t: p for p, t in enumerate(tuples)}
+        cross = {(position[a], position[b]): coeff for (a, b), coeff in cross.items()}
+    pairs = [(a, b, coeff) for (a, b), coeff in cross.items() if coeff != 0]
+    lo = [a for a, _, _ in pairs]
+    hi = [b for _, b, _ in pairs]
+    arrays = (
+        np.array(tuples, dtype=np.intp),
+        np.array(weights, dtype=float),
+        np.array(lo + hi, dtype=np.intp),
+        np.array(hi + lo, dtype=np.intp),
+        np.array([(coeff, 1) for _, _, coeff in pairs], dtype=float).reshape(-1, 2),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return ProductArrays(*arrays)

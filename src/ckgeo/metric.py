@@ -48,15 +48,26 @@ class Measure:
         return {"phi": self.value, "level": self.level, "kind": self.kind}
 
 
-def _measure_pair(k: int, c: float, s, level: int, tol: float) -> Measure:
+def _measure_pair(k: int, c, s, level: int, tol: float):
+    if isinstance(s, np.ndarray):
+        imaginary = s.imag != 0.0
+        phi = gmeasure_from_cs(
+            np.where(imaginary, -k, k), np.where(imaginary, np.abs(c), c), np.abs(s), tol
+        )
+        kinds = np.where(imaginary, "imaginary", "real")
+        return [Measure(v, level, kind) for v, kind in zip(phi.tolist(), kinds.tolist())]
     if isinstance(s, Imaginary):
         value = gmeasure_from_cs(-k, abs(c), s.magnitude, tol)
         return Measure(value, level, "imaginary")
     return Measure(gmeasure_from_cs(k, c, s, tol), level, "real")
 
 
-def distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9) -> Measure:
-    """Level-1 measure between unit points."""
+def distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9):
+    """Level-1 measure between unit points.
+
+    On two (N, n+1) stacks of unit points it gives the list of the N
+    row-wise measures; the first pair that cannot be measured raises.
+    """
     c = space.dot_points(x, y)
     s = space.cross_points(x, y)
     return _measure_pair(space.sig[0], c, s, 1, tol)
@@ -74,8 +85,9 @@ def identified_distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1
     return min(phi, math.pi - phi)
 
 
-def angle(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9) -> Measure:
-    """Level-(m+1) measure between two m-planes."""
+def angle(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9):
+    """Level-(m+1) measure between two m-planes; the list of row-wise
+    measures when X and Y hold stacks of planes."""
     c = space.dot_planes(X, Y)
     s = space.cross_planes(X, Y)
     level = X.m + 1
@@ -175,9 +187,11 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
     return Triangle(space, A, B, C)
 
 
-def _ray_angle(space: Space, vertex: ProjPoint, u: np.ndarray, v: np.ndarray, tol: float) -> Measure:
-    X = MPlane(space, np.column_stack([vertex.coords, u]), validate=False)
-    Y = MPlane(space, np.column_stack([vertex.coords, v]), validate=False)
+def _ray_angles(space: Space, vertices, u, v, tol: float) -> list:
+    """Angles between the rays (vertex, u) and (vertex, v) of each row, as
+    one stack of lines; the first pair that cannot be measured raises."""
+    X = MPlane(space, np.stack([vertices, u], axis=-1), validate=False)
+    Y = MPlane(space, np.stack([vertices, v], axis=-1), validate=False)
     return angle(space, X, Y, tol)
 
 
@@ -191,20 +205,18 @@ def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
     configuration problem rather than a numeric one.
     """
     sp = tri.space
-    A, B, C = tri.A, tri.B, tri.C
-    a = distance(sp, B, C, tol)
-    b = distance(sp, A, C, tol)
-    c = distance(sp, A, B, tol)
-    to_B = sp.direction(A, B)
-    to_C = sp.direction(A, C)
-    alpha = _ray_angle(sp, A, to_B, to_C, tol)
+    a = distance(sp, tri.B, tri.C, tol)
+    b = distance(sp, tri.A, tri.C, tol)
+    c = distance(sp, tri.A, tri.B, tol)
+    # The six rays in one batch; the Triangle invariant keeps every one real.
+    A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
+    to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
+        np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
+    )
     # Exterior convention at B: continue the AB geodesic past B.
-    away_from_A = -sp.direction(B, A)
-    toward_C = sp.direction(B, C)
-    beta_prime = _ray_angle(sp, B, away_from_A, toward_C, tol)
-    to_A = sp.direction(C, A)
-    to_B2 = sp.direction(C, B)
-    gamma = _ray_angle(sp, C, to_A, to_B2, tol)
+    alpha, beta_prime, gamma = _ray_angles(
+        sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2]), tol
+    )
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
 
 
@@ -367,8 +379,9 @@ def right_triangle_residuals(space: Space, a: float, b: float, tol: float = 1e-9
     V_B = apply_point(givens(space, 0, 2, a), V_C)
 
     c = distance(space, V_A, V_B, tol).value
-    alpha = _ray_angle(space, V_A, space.direction(V_A, V_C), space.direction(V_A, V_B), tol)
-    beta = _ray_angle(space, V_B, space.direction(V_B, V_C), space.direction(V_B, V_A), tol)
+    u = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_C.coords, V_C.coords]))
+    v = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_B.coords, V_A.coords]))
+    alpha, beta = _ray_angles(space, np.array([V_A.coords, V_B.coords]), u, v, tol)
     if alpha.kind != "real" or beta.kind != "real":
         raise DomainError("right triangle angles came back imaginary")
     al, be = alpha.value, beta.value

@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import csv
+import io
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ckgeo import GeometryError, Space, distance
 from ckgeo.cli import main
 
 
@@ -67,6 +72,111 @@ def test_dist_bulk_json(capsys, tmp_path):
     pairs.write_text("1,0,0,1,3,4\n")
     got = run_json(capsys, "dist", "--space", "pe", "--pairs", str(pairs))
     assert isinstance(got, list) and got[0]["phi"] == pytest.approx(5.0)
+
+
+def _coords(v):
+    return ",".join(repr(float(c)) for c in v)
+
+
+def _sample_rows(sig, rng, count=12):
+    """Raw (x, y) rows of measurable pairs: random ones, and every third
+    near-coincident (y = x moved by about 1e-6)."""
+    sp = Space(sig)
+    rows = []
+    while len(rows) < count:
+        x = rng.uniform(-2.0, 2.0, sp.n + 1)
+        y = x + 1e-6 * rng.uniform(-1.0, 1.0, sp.n + 1) if len(rows) % 3 == 0 else rng.uniform(-2.0, 2.0, sp.n + 1)
+        try:
+            sp.normalize(np.array([x, y]), tol=1e-3)  # stay clear of the absolute
+            distance(sp, sp.normalize(x), sp.normalize(y))
+        except GeometryError:
+            continue
+        rows.append((x, y))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sig", ["".join(p) for p in itertools.product("hpe", repeat=2)] + ["ehe", "hehe"]
+)
+def test_dist_bulk_matches_single_rows(capsys, tmp_path, sig):
+    rows = _sample_rows(sig, np.random.default_rng(sum(map(ord, sig))))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(_coords(x) + "," + _coords(y) + "\n" for x, y in rows))
+    bulk = run_json(capsys, "dist", "--space", sig, "--pairs", str(pairs))
+    code, out, err = run(capsys, "dist", "--space", sig, "--pairs", str(pairs), "--output", "csv")
+    assert code == 0, err
+    assert "np." not in out
+    table = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(bulk) == len(table) == len(rows)
+    for (x, y), got, line in zip(rows, bulk, table):
+        one = run_json(capsys, "dist", "--space", sig, "--p=" + _coords(x), "--q=" + _coords(y))
+        assert got == one  # phi to the last bit
+        assert line == [repr(one["phi"]), "1", one["kind"]]
+    if sig in ("eh", "hh", "ehe", "hehe"):
+        assert "imaginary" in {row["kind"] for row in bulk}
+
+
+def test_dist_bulk_empty_file(capsys, tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("")
+    assert run_json(capsys, "dist", "--space", "he", "--pairs", str(pairs)) == []
+
+
+def _bulk_error(capsys, tmp_path, space, lines):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "dist", "--space", space, "--pairs", str(pairs))
+    assert out == ""
+    return code, json.loads(err)["error"]
+
+
+def _scalar_loop_error(space, lines):
+    """Exit code and error class of measuring the rows one by one."""
+    sp = Space(space)
+    for line in lines:
+        values = [float(v) for v in line.split(",")]
+        for point in (values[: sp.n + 1], values[sp.n + 1 :]):
+            try:
+                sp.normalize(point)
+            except GeometryError as exc:
+                return 3, type(exc).__name__
+    return 0, None
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # an x on the absolute in row 2, a negative-norm y in row 4
+        ["1,0,0,2,0.5,0", "1,0,0,1.5,0.2,0.1", "1,1,0,1,0,0", "2,0,0,1,0.3,0", "1,0,0,0.5,2,0"],
+        # x before y: the negative-norm x of row 2 beats the y on the absolute
+        ["1,0,0,2,0.5,0", "0.5,2,0,1,1,0", "1,1,0,1,0,0"],
+        # the y of row 1 is on the absolute, the x of row 2 has negative norm
+        ["1,0,0,1,0,1", "0.5,2,0,2,0.5,0"],
+        # a non-finite row
+        ["1,0,0,2,0.5,0", "1,0,0,inf,0,0", "1,1,0,1,0,0"],
+    ],
+)
+def test_dist_bulk_error_is_the_first_bad_point(capsys, tmp_path, lines):
+    want = _scalar_loop_error("he", lines)
+    assert want[0] == 3
+    assert _bulk_error(capsys, tmp_path, "he", lines) == want
+
+
+def test_dist_bulk_error_order_with_malformed_rows(capsys, tmp_path):
+    # a bad point before a malformed row is reported as the point
+    assert _bulk_error(capsys, tmp_path, "he", ["1,0,0,2,0.5,0", "1,1,0,1,0,0", "1,0,0"]) == (
+        3,
+        "OnAbsolute",
+    )
+    # a malformed row before a bad point is a usage error
+    assert _bulk_error(capsys, tmp_path, "he", ["1,0,0,x,0,0", "1,1,0,1,0,0"]) == (2, "usage")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_dist_non_finite_coordinate_exit_code(capsys, bad):
+    code, out, err = run(capsys, "dist", "--space", "he", "--p=" + bad + ",0,0", "--q", "1,0,0")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
 
 
 # -- angle --------------------------------------------------------------------

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from ckgeo import (
     DegenerateTriangle,
     DimensionMismatch,
+    DomainError,
     Imaginary,
     MPlane,
     NegativeNorm,
     OnAbsolute,
     Space,
     cumulative_products,
+    plane_tables,
 )
 
 CHARS = (-1, 0, 1)
@@ -144,6 +146,44 @@ def test_normalize_euclidean_sheet():
     assert list(p.coords) == [1.0, -2.0, -3.0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite(bad):
+    sp = Space("he")
+    with pytest.raises(DomainError, match="coordinate 1 is"):
+        sp.normalize([1.0, bad, 0.0])
+    with pytest.raises(DomainError, match="coordinate 0 is"):
+        sp.normalize(np.array([[1.0, 0.1, 0.0], [bad, 0.0, 0.0]]))
+
+
+def test_normalize_stack_matches_points():
+    rng = np.random.default_rng(11)
+    for sig in all_sigs(2) + [(-1, 1, 0, 1)]:
+        sp = Space(sig)
+        raw = rng.uniform(-2.0, 2.0, (40, sp.n + 1))
+        keep = []
+        for row in raw:
+            try:
+                keep.append((row, sp.normalize(row).coords))
+            except (NegativeNorm, OnAbsolute):
+                pass
+        stack = sp.normalize(np.array([row for row, _ in keep]))
+        assert not stack.flags.writeable
+        assert np.array_equal(stack, np.array([unit for _, unit in keep]))
+        grid = sp.normalize(np.array([row for row, _ in keep[:4]]).reshape(2, 2, sp.n + 1))
+        assert np.array_equal(grid.reshape(4, sp.n + 1), stack[:4])
+
+
+def test_normalize_stack_reports_first_bad_row():
+    sp = Space("he")
+    good, absolute, negative = [1.0, 0.2, 0.1], [1.0, 1.0, 0.0], [0.5, 2.0, 0.0]
+    with pytest.raises(OnAbsolute):
+        sp.normalize(np.array([good, absolute, negative, [math.nan, 0.0, 0.0]]))
+    with pytest.raises(NegativeNorm) as err:
+        sp.normalize(np.array([good, negative, absolute]))
+    assert err.value.value == pytest.approx(0.25 - 4.0)
+    assert sp.normalize(np.empty((0, 3))).shape == (0, 3)
+
+
 # -- cross product classification ----------------------------------------------
 
 
@@ -168,6 +208,26 @@ def test_cross_points_imaginary():
     s = sp.cross_points(x, y)
     assert isinstance(s, Imaginary)
     assert s.magnitude == pytest.approx(math.sinh(t), rel=1e-12)
+
+
+def test_point_products_on_stacks_match_pairs():
+    # A pair gives the same bits alone as inside a stack, in every signature.
+    rng = np.random.default_rng(3)
+    for sig in all_sigs(2) + all_sigs(3) + [(1, -1, 0, 1)]:
+        sp = Space(sig)
+        X = rng.uniform(-2.0, 2.0, (25, sp.n + 1))
+        Y = rng.uniform(-2.0, 2.0, (25, sp.n + 1))
+        Y[:5] = X[:5] + 1e-9 * Y[:5]  # near-coincident rows exercise the snap window
+        dots, rads, cross = sp.dot_points(X, Y), sp.point_cross_radicand(X, Y), sp.cross_points(X, Y)
+        assert cross.dtype.kind == "c"
+        for i in range(len(X)):
+            assert dots[i] == sp.dot_points(X[i], Y[i])
+            assert rads[i] == sp.point_cross_radicand(X[i], Y[i])
+            one = sp.cross_points(X[i], Y[i])
+            if isinstance(one, Imaginary):
+                assert cross[i] == 1j * one.magnitude
+            else:
+                assert cross[i] == one
 
 
 # -- planes ------------------------------------------------------------------------
@@ -236,6 +296,29 @@ def test_defining_identity_for_raw_planes():
                 lhs = sp.dot_planes(X, Y) ** 2 + km * sp.plane_cross_radicand(X, Y)
                 rhs = sp.dot_planes(X, X) * sp.dot_planes(Y, Y)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+def test_plane_products_match_table_loops():
+    # reference: walk the coefficient tables pair by pair
+    rng = np.random.default_rng(8)
+    for sig in all_sigs(3) + [(1, 0, -1, 1)]:
+        sp = Space(sig)
+        for m in range(1, sp.n):
+            tuples, dot, cross = plane_tables(sig, m)
+            pos = {t: p for p, t in enumerate(tuples)}
+            X = MPlane(sp, rng.uniform(-1, 1, (sp.n + 1, m + 1)), validate=False)
+            Y = MPlane(sp, rng.uniform(-1, 1, (sp.n + 1, m + 1)), validate=False)
+            mx, my = X.minor_vector(), Y.minor_vector()
+            want_dot = sum(dot[t] * mx[pos[t]] * my[pos[t]] for t in tuples)
+            terms = [
+                (coeff, (mx[pos[a]] * my[pos[b]] - mx[pos[b]] * my[pos[a]]) ** 2)
+                for (a, b), coeff in cross.items()
+                if coeff != 0
+            ]
+            assert sp.dot_planes(X, Y) == pytest.approx(want_dot, rel=1e-12, abs=1e-12)
+            assert sp.plane_cross_radicand(X, Y) == pytest.approx(
+                sum(c * sq for c, sq in terms), rel=1e-12, abs=1e-12
+            )
 
 
 def test_direction_unit_and_degenerate():

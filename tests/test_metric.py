@@ -9,6 +9,7 @@ from ckgeo import (
     DegenerateTriangle,
     DimensionMismatch,
     DomainError,
+    GeometryError,
     MPlane,
     NoSolution,
     ProjPoint,
@@ -21,6 +22,7 @@ from ckgeo import (
     is_parallel,
     law_residuals,
     measure_triangle,
+    random_transform,
     right_triangle_residuals,
     solve_sas,
     triangle_from_sas,
@@ -75,6 +77,38 @@ def test_distance_imaginary_kind_uses_dual_characteristic():
     d = distance(sp, x, y)
     assert d.kind == "imaginary"
     assert d.value == pytest.approx(t, rel=1e-12)
+
+
+def test_distance_on_stacks_lists_row_measures():
+    sp = Space((1, -1))
+    t = 0.9
+    X = sp.normalize(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.3, 0.1]]))
+    Y = sp.normalize(np.array([[0.0, 1.0, 0.0], [math.cosh(t), 0.0, math.sinh(t)], [2.0, 0.3, 0.1]]))
+    got = distance(sp, X, Y)
+    assert [m.kind for m in got] == ["real", "imaginary", "real"]
+    assert all(type(m.value) is float for m in got)
+    assert got[1].value == pytest.approx(t, rel=1e-12)
+    assert got == [distance(sp, ProjPoint(x), ProjPoint(y)) for x, y in zip(X, Y)]
+
+
+def test_angle_on_plane_stacks_matches_planes():
+    # lines through the base point, moved by seeded words of rotations
+    sp = Space("ehe")
+    base = np.eye(4)[:, :2]
+    X = np.array([random_transform(sp, seed).matrix @ base for seed in range(8)])
+    Y = np.array([random_transform(sp, seed + 100).matrix @ base for seed in range(8)])
+    rows, measures = [], []
+    for i in range(8):
+        try:
+            measures.append(angle(sp, MPlane(sp, X[i], validate=False), MPlane(sp, Y[i], validate=False)))
+        except GeometryError:
+            continue
+        rows.append(i)
+    assert len(rows) >= 4
+    got = angle(sp, MPlane(sp, X[rows], validate=False), MPlane(sp, Y[rows], validate=False))
+    assert got == measures
+    with pytest.raises(DimensionMismatch):
+        MPlane(sp, X)  # stacks are taken as given, never validated
 
 
 def test_identified_distance_takes_shorter_arc():
@@ -298,3 +332,11 @@ def test_right_triangle_hyperbolic():
 def test_measure_to_dict():
     d = distance(EE, EE.normalize([1, 0, 0]), EE.normalize([0, 1, 0])).to_dict()
     assert d == {"phi": pytest.approx(math.pi / 2), "level": 1, "kind": "real"}
+
+
+def test_law_residuals_overflow_is_a_geometry_error():
+    # beta' comes out near 6930, and eq21's as-printed form needs sinh of it
+    sp = Space("hp")
+    tm = measure_triangle(triangle_from_sas(sp, 2.106737733072028, 2.31622094515917, 2.1053842523569517))
+    with pytest.raises(GeometryError):
+        law_residuals(sp, tm)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -163,6 +164,29 @@ def test_validate_sampled_mode_for_degenerate_signature():
     cheat = np.diag([1.0, 2.0, 1.0])
     rep = validate(sp, cheat)
     assert not rep.ok
+
+
+def test_validate_sampled_checks_the_seeded_pairs():
+    # The sampled figures are those of the 32 seeded pairs drawn x, then y.
+    sp = Space("epep")
+    mat = random_transform(sp, 5).matrix.copy()
+    mat[1, 3] += 1e-3
+    rng = random.Random(1729)
+    worst_dot = worst_cross = 0.0
+    ref = max(1.0, float(np.abs(mat).max()) ** 4)
+    for _ in range(32):
+        x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
+        y = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
+        gx, gy = mat @ x, mat @ y
+        worst_dot = max(worst_dot, abs(sp.dot_points(gx, gy) - sp.dot_points(x, y)) / ref)
+        worst_cross = max(
+            worst_cross,
+            abs(sp.point_cross_radicand(gx, gy) - sp.point_cross_radicand(x, y)) / ref,
+        )
+    checks = dict(validate(sp, mat).checks)
+    assert checks["sampled_dot"] == pytest.approx(worst_dot, rel=1e-9)
+    assert checks["sampled_cross"] == pytest.approx(worst_cross, rel=1e-9)
+    assert worst_cross > 1e-6
 
 
 def test_validate_shape_error():
