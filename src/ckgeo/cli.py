@@ -26,7 +26,6 @@ from .metric import angle, distance, law_residuals, measure_triangle, triangle_f
 from .transform import (
     apply_plane,
     apply_point,
-    from_word,
     givens,
     random_transform,
     validate,

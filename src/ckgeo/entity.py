@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class MPlane:
     """An m-plane given by m+1 columns of a generalized orthogonal matrix.
 
     With validate=False the columns may also be a stack (N, n+1, m+1) of
-    planes; products and measures of stacks work row by row.
+    planes; products and measures of stacks work row by row.  A non-finite
+    entry raises DomainError naming its index, before any product is formed.
     """
 
     __slots__ = ("space", "cols", "_minors")
@@ -96,6 +97,9 @@ class MPlane:
         m = arr.shape[-1] - 1
         if not 0 < m < space.n:
             raise DimensionMismatch("plane dimension must satisfy 0 < m < n")
+        if not np.isfinite(arr).all():
+            first = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+            raise DomainError("plane entry %s is %r, not a finite number" % (first, float(arr[first])))
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cols", arr)
@@ -179,6 +183,12 @@ class Space:
         """Weighted dot product sum K_i x_i y_i; row-wise on (N, n+1) stacks."""
         return _scalar(kernel.product_arrays(self.sig, 0).dot(self._vec(x), self._vec(y)))
 
+    def _point_products(self, x, y):
+        """Dot products and rooted cross products (see _root) of points, as arrays."""
+        pa = kernel.product_arrays(self.sig, 0)
+        xv, yv = self._vec(x), self._vec(y)
+        return pa.dot(xv, yv), _root(*pa.cross(xv, yv))
+
     def point_cross_radicand(self, x, y):
         """Signed sum of weighted squared minors under the point cross root."""
         rad, _ = kernel.product_arrays(self.sig, 0).cross(self._vec(x), self._vec(y))
@@ -192,7 +202,7 @@ class Space:
         On (N, n+1) stacks the result is a complex array: real entries for
         real cross products, imaginary ones where the radicand is negative.
         """
-        return _root(*kernel.product_arrays(self.sig, 0).cross(self._vec(x), self._vec(y)))
+        return _scalar(self._point_products(x, y)[1])
 
     def normalize(self, raw, tol: float = 1e-12):
         """Scale a raw vector onto the unit shell with a canonical sign.
@@ -238,16 +248,22 @@ class Space:
         the unit normalization of the plane itself (which pins the column
         scale that the degenerate pairwise products cannot see).
         """
-        cols = plane.cols
-        for i in range(plane.m + 1):
-            for j in range(i, plane.m + 1):
-                want = self.K[i] if i == j else 0.0
-                got = self.dot_points(cols[:, i], cols[:, j])
-                mag = float(np.abs(cols[:, i]).max() * np.abs(cols[:, j]).max())
-                if abs(got - want) > tol * max(1.0, mag * mag):
-                    raise DimensionMismatch(
-                        "columns %d,%d have product %r, expected %r" % (i, j, got, want)
-                    )
+        # Row i of the products is column i against every column; the checks
+        # run over the upper triangle in row order, so the first failure is
+        # the (i, j) a pairwise loop would meet first.
+        cols = plane.cols.T
+        got = self.dot_points(cols[:, None, :], cols[None, :, :])
+        want = np.diag(self._Karr[: plane.m + 1])
+        peak = np.abs(cols).max(axis=1)
+        mag = np.outer(peak, peak)
+        upper = ~np.tri(plane.m + 1, k=-1, dtype=bool)
+        bad = upper & (np.abs(got - want) > tol * np.maximum(1.0, mag * mag))
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise DimensionMismatch(
+                "columns %d,%d have product %r, expected %r"
+                % (i, j, float(got[i, j]), self.K[i] if i == j else 0.0)
+            )
         unit = self.dot_planes(plane, plane)
         if abs(unit - 1.0) > tol * max(1.0, abs(unit)):
             raise DimensionMismatch(
@@ -260,15 +276,20 @@ class Space:
         return _scalar(kernel.product_arrays(self.sig, X.m).dot(X.minor_vector(), Y.minor_vector()))
 
     def plane_cross_radicand(self, X: MPlane, Y: MPlane):
-        return _scalar(self._plane_cross_terms(X, Y)[0])
+        self._check_pair(X, Y)
+        rad, _ = kernel.product_arrays(self.sig, X.m).cross(X.minor_vector(), Y.minor_vector())
+        return _scalar(rad)
 
     def cross_planes(self, X: MPlane, Y: MPlane) -> CrossValue:
         """Plane cross product magnitude, Imaginary-tagged on negative radicand."""
-        return _root(*self._plane_cross_terms(X, Y))
+        return _scalar(self._plane_products(X, Y)[1])
 
-    def _plane_cross_terms(self, X: MPlane, Y: MPlane):
+    def _plane_products(self, X: MPlane, Y: MPlane):
+        """Dot products and rooted cross products (see _root) of planes, as arrays."""
         self._check_pair(X, Y)
-        return kernel.product_arrays(self.sig, X.m).cross(X.minor_vector(), Y.minor_vector())
+        pa = kernel.product_arrays(self.sig, X.m)
+        x, y = X.minor_vector(), Y.minor_vector()
+        return pa.dot(x, y), _root(*pa.cross(x, y))
 
     def _check_pair(self, X: MPlane, Y: MPlane) -> None:
         if X.space.sig != self.sig or Y.space.sig != self.sig:
@@ -289,40 +310,39 @@ class Space:
         return MPlane(self, np.column_stack([self._vec(x), u]))
 
     def direction(self, x: ProjPoint, y: ProjPoint) -> np.ndarray:
-        """Unit direction vector at x pointing toward y; row-wise on stacks."""
+        """Unit direction vector at x pointing toward y; row-wise on stacks.
+
+        On a stack, the first pair without a real, nonzero cross product
+        raises DegenerateTriangle with the error that pair raises alone.
+        """
         xv, yv = self._vec(x), self._vec(y)
-        c, s = self.dot_points(xv, yv), self.cross_points(xv, yv)
-        if isinstance(s, np.ndarray):
-            usable = (s.imag == 0.0) & (s.real != 0.0)
-            if usable.all():
-                return (yv - c[..., None] * xv) / s.real[..., None]
-            # The first pair without a direction raises its own error.
+        c, s = self._point_products(xv, yv)
+        usable = (s.imag == 0.0) & (s.real != 0.0)
+        if not usable.all():
             first = np.unravel_index(np.argmin(usable), usable.shape)
-            return self.direction(xv[first], yv[first])
-        if isinstance(s, Imaginary) or s == 0.0:
             raise DegenerateTriangle(
-                "no real unit direction between the given points (cross %r)" % (s,)
+                "no real unit direction between the given points (cross %r)" % (_scalar(s[first]),)
             )
-        return (yv - c * xv) / s
+        return (yv - c[..., None] * xv) / s.real[..., None]
 
 
 def _scalar(value):
-    """A plain float for one pair's product, the array itself for stacks."""
-    return float(value) if value.ndim == 0 else value
+    """One pair's product as a float, or as an Imaginary for a root with a
+    nonzero imaginary part; a stack's products as the array itself."""
+    if value.ndim:
+        return value
+    if value.imag:
+        return Imaginary(float(value.imag))
+    return float(value.real)
 
 
 def _root(rad, term_scale):
-    """The square root of a cross radicand, snapped to 0 within roundoff.
+    """The square roots of cross radicands, snapped to 0 within roundoff.
 
-    The snap window is 1e-12 of the term scale (at least 1e-12).  One
-    radicand gives a float or an Imaginary; a stack gives a complex array
-    with the same values.
+    The snap window is 1e-12 of the term scale (at least 1e-12).  The
+    result is a complex array: real entries for real cross products,
+    imaginary ones (the magnitude times 1j) where the radicand is negative.
     """
-    if rad.ndim == 0:
-        rad = float(rad)
-        if rad >= -1e-12 * max(1.0, float(term_scale)):
-            return math.sqrt(rad) if rad > 0.0 else 0.0
-        return Imaginary(math.sqrt(-rad))
     real = rad >= -1e-12 * np.maximum(1.0, term_scale)
     # abs() turns the snap window and -0.0 into +0.0, a negative radicand into its magnitude.
     mag = np.sqrt(np.abs(np.where(real & (rad < 0.0), 0.0, rad)))

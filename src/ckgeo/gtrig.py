@@ -2,16 +2,13 @@
 
 gcos(k, x) and gsin(k, x) interpolate the circular (k = 1), linear (k = 0)
 and hyperbolic (k = -1) function pairs; gmeasure_from_cs inverts a consistent
-(cosine-like, sine-like) pair back to the measure it came from, one pair at
-a time or over arrays of pairs.  Where the hyperbolic kernels overflow a
-float, DomainError is raised.
+(cosine-like, sine-like) pair back to the measure it came from.  Where the
+hyperbolic kernels overflow a float, DomainError is raised.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError, InconsistentPair, PoleError
 
@@ -67,12 +64,7 @@ def gmeasure_from_cs(k: int, c: float, s: float, tol: float = 1e-9) -> float:
     of the terms); otherwise InconsistentPair is raised.  For k == -1 the
     inversion needs c + s > 0, else DomainError.  Principal ranges: [0, pi]
     for k == 1, [0, inf) otherwise.
-
-    Arrays of k, c and s (broadcast together) give an array of measures; the
-    first pair that fails a check raises the error it raises on its own.
     """
-    if isinstance(k, np.ndarray) or isinstance(c, np.ndarray) or isinstance(s, np.ndarray):
-        return _gmeasure_array(k, c, s, tol)
     _check_char(k)
     if s < 0.0:
         if s < -tol:
@@ -93,34 +85,3 @@ def gmeasure_from_cs(k: int, c: float, s: float, tol: float = 1e-9) -> float:
         raise DomainError("hyperbolic inversion needs c + s > 0, got %r" % (c + s,))
     # log1p keeps precision when x is small and c + s is barely above 1.
     return math.log1p((c - 1.0) + s)
-
-
-def _gmeasure_array(k, c, s, tol: float) -> np.ndarray:
-    """gmeasure_from_cs over arrays: the same checks, pair by pair."""
-    k, c, s = np.asarray(k), np.asarray(c, dtype=float), np.asarray(s, dtype=float)
-    if not k.shape == c.shape == s.shape:
-        k, c, s = np.broadcast_arrays(k, c, s)
-    kinds = set(k.ravel().tolist())
-    for kind in kinds:
-        _check_char(kind)
-    s0 = np.where(s < 0.0, 0.0, s)
-    cc, ss = c * c, s0 * s0
-    bad = (s < -tol) | (np.abs(cc + k * ss - 1.0) > tol * np.maximum(1.0, np.maximum(cc, np.abs(k) * ss)))
-    if 0 in kinds:
-        bad |= (k == 0) & (np.abs(c - 1.0) > tol)
-    if -1 in kinds:
-        bad |= (k == -1) & (c + s0 <= 0.0)
-    if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        # The scalar form raises this pair's error, with its own message.
-        gmeasure_from_cs(int(k[first]), float(c[first]), float(s[first]), tol)
-    # The inverses are the scalar form's math functions, so each pair gives
-    # the same bits alone as in an array (numpy's vector log1p may not).
-    out = np.array(s0)
-    if 1 in kinds:
-        rows = k == 1
-        out[rows] = list(map(math.atan2, s0[rows].tolist(), c[rows].tolist()))
-    if -1 in kinds:
-        rows = k == -1
-        out[rows] = list(map(math.log1p, ((c[rows] - 1.0) + s0[rows]).tolist()))
-    return out

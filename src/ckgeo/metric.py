@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from .entity import Imaginary, MPlane, ProjPoint, Space
+from .entity import Imaginary, MPlane, ProjPoint, Space, _scalar
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -49,17 +49,19 @@ class Measure:
 
 
 def _measure_pair(k: int, c, s, level: int, tol: float):
-    if isinstance(s, np.ndarray):
-        imaginary = s.imag != 0.0
-        phi = gmeasure_from_cs(
-            np.where(imaginary, -k, k), np.where(imaginary, np.abs(c), c), np.abs(s), tol
-        )
-        kinds = np.where(imaginary, "imaginary", "real")
-        return [Measure(v, level, kind) for v, kind in zip(phi.tolist(), kinds.tolist())]
-    if isinstance(s, Imaginary):
-        value = gmeasure_from_cs(-k, abs(c), s.magnitude, tol)
-        return Measure(value, level, "imaginary")
-    return Measure(gmeasure_from_cs(k, c, s, tol), level, "real")
+    """Measure each row of a product stack through the scalar inverter.
+
+    c and s are the arrays of Space._point_products or _plane_products; a
+    single pair (0-d arrays) gives one Measure, a stack the list of them.
+    The first row that cannot be measured raises its error.
+    """
+    measures = []
+    for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist()):
+        if sv.imag:
+            measures.append(Measure(gmeasure_from_cs(-k, abs(cv), sv.imag, tol), level, "imaginary"))
+        else:
+            measures.append(Measure(gmeasure_from_cs(k, cv, sv.real, tol), level, "real"))
+    return measures if np.ndim(s) else measures[0]
 
 
 def distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9):
@@ -68,9 +70,7 @@ def distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9):
     On two (N, n+1) stacks of unit points it gives the list of the N
     row-wise measures; the first pair that cannot be measured raises.
     """
-    c = space.dot_points(x, y)
-    s = space.cross_points(x, y)
-    return _measure_pair(space.sig[0], c, s, 1, tol)
+    return _measure_pair(space.sig[0], *space._point_products(x, y), 1, tol)
 
 
 def identified_distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9) -> float:
@@ -88,10 +88,7 @@ def identified_distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1
 def angle(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9):
     """Level-(m+1) measure between two m-planes; the list of row-wise
     measures when X and Y hold stacks of planes."""
-    c = space.dot_planes(X, Y)
-    s = space.cross_planes(X, Y)
-    level = X.m + 1
-    return _measure_pair(space.sig[X.m], c, s, level, tol)
+    return _measure_pair(space.sig[X.m], *space._plane_products(X, Y), X.m + 1, tol)
 
 
 def _same_span(X: MPlane, Y: MPlane, tol: float) -> bool:
@@ -132,16 +129,15 @@ class Triangle:
     def __post_init__(self):
         if self.space.n != 2:
             raise DimensionMismatch("triangles need a planar space (n = 2)")
-        for p, q, name in (
-            (self.A, self.B, "AB"),
-            (self.A, self.C, "AC"),
-            (self.B, self.C, "BC"),
-        ):
-            s = self.space.cross_points(p, q)
-            if isinstance(s, Imaginary) or s == 0.0:
-                raise DegenerateTriangle(
-                    "side %s has cross product %r (needs real and nonzero)" % (name, s)
-                )
+        A, B, C = (self.space._vec(p) for p in (self.A, self.B, self.C))
+        s = self.space.cross_points(np.array([A, A, B]), np.array([B, C, C]))
+        usable = (s.imag == 0.0) & (s.real != 0.0)
+        if not usable.all():
+            first = int(usable.argmin())
+            raise DegenerateTriangle(
+                "side %s has cross product %r (needs real and nonzero)"
+                % (("AB", "AC", "BC")[first], _scalar(s[first]))
+            )
 
 
 @dataclass(frozen=True)
@@ -205,11 +201,9 @@ def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
     configuration problem rather than a numeric one.
     """
     sp = tri.space
-    a = distance(sp, tri.B, tri.C, tol)
-    b = distance(sp, tri.A, tri.C, tol)
-    c = distance(sp, tri.A, tri.B, tol)
-    # The six rays in one batch; the Triangle invariant keeps every one real.
     A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
+    a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]), tol)
+    # The six rays in one batch; the Triangle invariant keeps every one real.
     to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
         np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
     )

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .entity import Imaginary, MPlane, ProjPoint, Space
+from .entity import MPlane, ProjPoint, Space
 from .errors import DimensionMismatch
 from .gtrig import gcos, gsin
 
@@ -113,10 +113,7 @@ def inverse(g: GOrthoTransform) -> GOrthoTransform:
         else:
             word.append(gen)
     if g.word:
-        mat = np.eye(g.space.n + 1)
-        for gen in word:
-            mat = mat @ _generator_matrix(g.space, gen)
-        return GOrthoTransform(g.space, mat, word)
+        return from_word(g.space, word)
     return GOrthoTransform(g.space, np.linalg.inv(g.matrix), ())
 
 
@@ -206,17 +203,15 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     checks: List[Tuple[str, float]] = []
 
     scale = max(1.0, float(np.abs(mat).max()) ** 2)
-    worst_cols = 0.0
-    for i in range(space.n + 1):
-        for j in range(i, space.n + 1):
-            want = float(space.K[i]) if i == j else 0.0
-            got = space.dot_points(mat[:, i], mat[:, j])
-            kmin = space.K[min(i, j)]
-            if kmin != 0:
-                resid = abs(got / kmin - (1.0 if i == j else 0.0))
-            else:
-                resid = abs(got - want) / scale
-            worst_cols = max(worst_cols, resid)
+    # Entry (i, j) is column i against column j; for j >= i, K_min(i,j) = K_i,
+    # and rows with K_i = 0 compare against 0 at the matrix's scale.
+    cols = mat.T
+    got = space.dot_points(cols[:, None, :], cols[None, :, :])
+    kmin = space._Karr[:, None]
+    resid = np.abs(got / np.where(kmin != 0, kmin, scale) - np.eye(len(cols)) * (kmin != 0))
+    upper = ~np.tri(len(cols), k=-1, dtype=bool)
+    # fmax skips NaN residuals, as the running max(worst, resid) of a pairwise loop does.
+    worst_cols = float(np.fmax.reduce(resid[upper], initial=0.0))
     checks.append(("column_products", worst_cols))
 
     if not degenerate:

@@ -49,7 +49,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .entity import Imaginary, ProjPoint, Space
+from .entity import ProjPoint, Space
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
 _CHUNK = 1 << 17
@@ -89,13 +89,12 @@ class GeodesicSimplex:
         svals = np.linalg.svd(mat, compute_uv=False)
         if svals[-1] <= _EPS_NORM * max(1.0, svals[0]):
             raise SingularBasis("simplex vertices are numerically dependent")
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                s = self.space.cross_points(self.vertices[i], self.vertices[j])
-                if isinstance(s, Imaginary):
-                    raise DomainError(
-                        "separation of vertices %d,%d is imaginary" % (i, j)
-                    )
+        # Pairs i < j in row order, as a pairwise loop meets them.
+        i, j = np.nonzero(~np.tri(len(self.vertices), dtype=bool))
+        imaginary = self.space.cross_points(mat.T[i], mat.T[j]).imag != 0.0
+        if imaginary.any():
+            first = int(imaginary.argmax())
+            raise DomainError("separation of vertices %d,%d is imaginary" % (i[first], j[first]))
 
     def matrix(self) -> np.ndarray:
         """Vertex coordinates as columns, shape (n+1, vertex count)."""

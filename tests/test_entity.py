@@ -259,6 +259,20 @@ def test_plane_column_validation():
         MPlane(sp, np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plane_rejects_non_finite(bad):
+    sp = Space("ee")
+    cols = np.eye(3)[:, :2]
+    cols[2, 1] = bad
+    with pytest.raises(DomainError, match=r"plane entry \(2, 1\) is"):
+        MPlane(sp, cols)
+    with pytest.raises(DomainError, match=r"plane entry \(2, 1\) is"):
+        MPlane(sp, cols, validate=False)
+    stack = np.array([np.eye(3)[:, :2], cols, cols.T[::-1].T])
+    with pytest.raises(DomainError, match=r"plane entry \(1, 2, 1\) is"):
+        MPlane(sp, stack, validate=False)
+
+
 def test_plane_dimension_bounds():
     sp = Space("ee")
     with pytest.raises(DimensionMismatch):

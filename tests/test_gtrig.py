@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,24 +111,3 @@ def test_hyperbolic_overflow_is_a_domain_error():
             fn(-1, 1000.0)
     assert gcos(1, 1000.0) == math.cos(1000.0)
 
-
-def test_measure_array_matches_scalar():
-    x = np.linspace(0.0, 3.0, 13)
-    k = np.array([1, 0, -1] * 4 + [1])
-    c = np.array([gcos(int(kk), v) for kk, v in zip(k, x)])
-    s = np.array([gsin(int(kk), v) for kk, v in zip(k, x)])
-    got = gmeasure_from_cs(k, c, s)
-    assert got.shape == (13,)
-    assert got.tolist() == [gmeasure_from_cs(int(kk), cc, ss) for kk, cc, ss in zip(k, c, s)]
-
-
-def test_measure_array_raises_first_bad_pair():
-    # pair 1 is inconsistent, pair 2 outside the hyperbolic domain: pair 1 wins
-    with pytest.raises(InconsistentPair):
-        gmeasure_from_cs(np.array([1, 1, -1]), np.array([1.0, 0.9, -2.0]), np.array([0.0, 0.9, math.sqrt(3.0)]))
-    with pytest.raises(DomainError):
-        gmeasure_from_cs(-1, np.array([1.0, -2.0]), np.array([0.0, math.sqrt(3.0)]))
-    with pytest.raises(InconsistentPair, match="nonnegative"):
-        gmeasure_from_cs(1, np.array([1.0, 0.0]), np.array([0.0, -0.5]))
-    with pytest.raises(ValueError):
-        gmeasure_from_cs(np.array([2]), np.array([1.0]), np.array([0.0]))

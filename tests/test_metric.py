@@ -111,6 +111,35 @@ def test_angle_on_plane_stacks_matches_planes():
         MPlane(sp, X)  # stacks are taken as given, never validated
 
 
+def _error(fn, *args):
+    with pytest.raises(GeometryError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_stack_with_unmeasurable_rows_raises_the_first_rows_error():
+    # Points and lines on opposite hyperbolic branches cannot be measured:
+    # the stack raises the error of its first such row, as that row alone.
+    def branch(c, t):
+        return [c * math.cosh(t), math.sinh(t)]
+
+    sp = Space("he")
+    x = np.array([[1.0, 0.0, 0.0]] * 3)
+    y = np.array([branch(1.0, 0.2) + [0.0], branch(-1.0, 0.7) + [0.0], branch(-1.0, 0.5) + [0.0]])
+    first = _error(distance, sp, ProjPoint(x[1]), ProjPoint(y[1]))
+    assert first[0] is DomainError
+    assert _error(distance, sp, x, y) == first != _error(distance, sp, ProjPoint(x[2]), ProjPoint(y[2]))
+
+    sp = Space("eh")  # lines through the base point, rotated in the hyperbolic (1, 2) block
+    X = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]] * 3)
+    Y = np.array([[[1.0, 0.0], [0.0, c], [0.0, s]] for c, s in y[:, :2]])
+    rows = [(MPlane(sp, X[i], validate=False), MPlane(sp, Y[i], validate=False)) for i in range(3)]
+    first = _error(angle, sp, *rows[1])
+    assert first[0] is DomainError
+    got = _error(angle, sp, MPlane(sp, X, validate=False), MPlane(sp, Y, validate=False))
+    assert got == first != _error(angle, sp, *rows[2])
+
+
 def test_identified_distance_takes_shorter_arc():
     x = EE.normalize([1.0, 0.0, 0.0])
     y = ProjPoint([-0.6, 0.8, 0.0])

@@ -9,6 +9,7 @@ import pytest
 
 from ckgeo import (
     DimensionMismatch,
+    MPlane,
     Space,
     apply_plane,
     apply_point,
@@ -187,6 +188,55 @@ def test_validate_sampled_checks_the_seeded_pairs():
     assert checks["sampled_dot"] == pytest.approx(worst_dot, rel=1e-9)
     assert checks["sampled_cross"] == pytest.approx(worst_cross, rel=1e-9)
     assert worst_cross > 1e-6
+
+
+def _pairwise_column_checks(sp, mat, m, tol):
+    """Reference loops over column pairs: validate's worst column residual
+    and the first column failure MPlane reports for the first m+1 columns."""
+    scale = max(1.0, float(np.abs(mat).max()) ** 2)
+    worst, failure = 0.0, None
+    for i in range(sp.n + 1):
+        for j in range(i, sp.n + 1):
+            want = sp.K[i] if i == j else 0.0
+            got = sp.dot_points(mat[:, i], mat[:, j])
+            if sp.K[i] != 0:
+                worst = max(worst, abs(got / sp.K[i] - (1.0 if i == j else 0.0)))
+            else:
+                worst = max(worst, abs(got - want) / scale)
+            mag = float(np.abs(mat[:, i]).max() * np.abs(mat[:, j]).max())
+            if failure is None and j <= m and abs(got - want) > tol * max(1.0, mag * mag):
+                failure = "columns %d,%d have product %r, expected %r" % (i, j, got, want)
+    return worst, failure
+
+
+def test_column_checks_match_pairwise_loops():
+    rng = random.Random(7)
+    failures = set()
+    for sig in ("eeee", "ehep", "hhhh", "epep", "pehe", "ppee"):
+        sp = Space(sig)
+        for seed in range(6):
+            mat = random_transform(sp, seed).matrix.copy()
+            m = seed % 3 + 1
+            if seed % 2 and m > 1:
+                # column j picks up column k < j: the first failure is (k, j), not row 0
+                k = rng.randrange(1, m)
+                mat[:, m] += rng.choice((1e-3, 1e-6)) * mat[:, k]
+            else:
+                for _ in range(seed % 3 + 1):
+                    mat[rng.randrange(5), rng.randrange(5)] += rng.choice((1e-3, 1e-6, 1e-10))
+            worst, failure = _pairwise_column_checks(sp, mat, m, 1e-8)
+            assert dict(validate(sp, mat).checks)["column_products"] == worst
+            try:
+                MPlane(sp, mat[:, : m + 1])
+                got = None
+            except DimensionMismatch as exc:
+                got = str(exc)
+            if failure is None:
+                assert got is None or got.startswith("plane self-product")
+            else:
+                assert got == failure
+                failures.add(failure.split(" have")[0])
+    assert len(failures) >= 3 and any(not f.startswith("columns 0,") for f in failures)
 
 
 def test_validate_shape_error():
