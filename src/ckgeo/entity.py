@@ -97,9 +97,7 @@ class MPlane:
         m = arr.shape[-1] - 1
         if not 0 < m < space.n:
             raise DimensionMismatch("plane dimension must satisfy 0 < m < n")
-        if not np.isfinite(arr).all():
-            first = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
-            raise DomainError("plane entry %s is %r, not a finite number" % (first, float(arr[first])))
+        _require_finite(arr, "plane entry")
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "cols", arr)
@@ -347,6 +345,13 @@ def _root(rad, term_scale):
     # abs() turns the snap window and -0.0 into +0.0, a negative radicand into its magnitude.
     mag = np.sqrt(np.abs(np.where(real & (rad < 0.0), 0.0, rad)))
     return np.where(real, mag, 1j * mag)
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the first non-finite entry of arr, in index order."""
+    if not np.isfinite(arr).all():
+        first = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        raise DomainError("%s %s is %r, not a finite number" % (what, first, float(arr[first])))
 
 
 def _norm_error(point: np.ndarray, q: float, limit: float) -> GeometryError:

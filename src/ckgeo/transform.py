@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .entity import MPlane, ProjPoint, Space
+from .entity import MPlane, ProjPoint, Space, _require_finite
 from .errors import DimensionMismatch
 from .gtrig import gcos, gsin
 
@@ -194,11 +194,14 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     c_i (.) c_j = K_min(i,j) delta_ij are verified directly (plus |det| = 1).
     In degenerate signatures those relations underdetermine the group, so the
     weak column relations are combined with preservation of point dot and
-    cross products on a fixed seeded sample of raw vector pairs.
+    cross products on a fixed seeded sample of raw vector pairs.  A
+    non-finite entry raises DomainError naming its index, before any product
+    is formed.
     """
     mat = np.array(matrix, dtype=float)
     if mat.shape != (space.n + 1, space.n + 1):
         raise DimensionMismatch("matrix must be (n+1) x (n+1)")
+    _require_finite(mat, "matrix entry")
     degenerate = any(K == 0 for K in space.K)
     checks: List[Tuple[str, float]] = []
 

@@ -9,9 +9,11 @@ count.
 Write a point of the vertices' span as p = M mu, with the vertices as the
 columns of M and G = M^T K M their Gram form.  p lies in the cone when
 mu >= 0 and p is inside the unit shell, mu^T G mu <= 1.  Where the squared
-norm is not positive (possible in degenerate and indefinite signatures) the
-radial cut falls back to the coefficient sum, which plays the role of the
-ray parameter.
+norm is not positive (possible in degenerate and indefinite signatures)
+cone_contains falls back to the coefficient sum, which plays the role of the
+ray parameter.  mc_volume needs no fallback: it requires g* > 1e-12 (below),
+and then a small squared norm forces a small coefficient sum, so both cuts
+agree.
 
 Sampling region.  Let g* be the minimum of mu^T G mu over the probability
 simplex.  Every cone point has mu^T G mu >= g* sum(mu)^2, so its
@@ -202,6 +204,20 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     return value if lo <= hi else None
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (N, k) array, adding its columns left to right.
+
+    numpy reduces a short row axis slowly.  For k < 8 its pairwise sum adds
+    the columns in this same order, so the bits are the same as
+    a.sum(axis=1); for k >= 8 numpy sums in another order and the last bits
+    may differ.
+    """
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def mc_volume(
     space: Space,
     simplex: GeodesicSimplex,
@@ -224,10 +240,17 @@ def mc_volume(
 
     Deterministic for a given (samples, seed) pair: one pseudo-random stream
     consumed in fixed-size chunks, so the count of chunks never changes the
-    draw sequence.
+    draw sequence, and each sample is tested on its own row, so the chunk
+    size changes neither the hits nor the estimate.  Raises
+    DimensionMismatch when space is not the simplex's space and DomainError
+    when tol is negative.
     """
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % (samples,))
+    if space.sig != simplex.space.sig:
+        raise DimensionMismatch("simplex belongs to a different space")
+    if not tol >= 0.0:
+        raise DomainError("tol must be nonnegative, got %r" % (tol,))
     mat = simplex.matrix()
     rows, count = mat.shape
     gram = mat.T @ (space._Karr[:, None] * mat)
@@ -248,12 +271,12 @@ def mc_volume(
         take = min(_CHUNK, samples - done)
         e = rng.standard_exponential((take, count + 1))
         mu = e[:, :count]
-        mu *= (reach / e.sum(axis=1))[:, None]
-        qvals = ((mu @ gram) * mu).sum(axis=1)
-        inside = np.where(
-            qvals > _EPS_NORM, qvals <= 1.0 + tol, mu.sum(axis=1) <= 1.0 + tol
-        )
-        hits += int(np.count_nonzero(inside))
+        mu *= (reach / _row_sums(e))[:, None]
+        form = mu @ gram
+        form *= mu
+        # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
+        # and g* > _EPS_NORM, so mu^T G mu <= _EPS_NORM gives sum(mu) <= 1e-6 reach < 1.
+        hits += int(np.count_nonzero(_row_sums(form) <= 1.0 + tol))
         done += take
 
     rate = hits / samples

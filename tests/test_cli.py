@@ -331,6 +331,14 @@ def test_transform_validate_rejects_shear(capsys):
     assert got["mode"] == "direct"
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_transform_validate_non_finite_exit_code(capsys, bad):
+    matrix = "[[1,0,0],[0,1,0],[0,0,%s]]" % bad
+    code, out, err = run(capsys, "transform", "--space", "ee", "--validate", matrix)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 # -- exit codes -----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Every name a ckgeo module imports is used in that module.
+"""Every name a ckgeo module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
 No linter ships with the project, so this walks the package sources with
 ast.  Names a module lists in __all__ are re-exports and count as used.
@@ -12,6 +13,7 @@ import pytest
 import ckgeo
 
 SOURCES = sorted(Path(ckgeo.__file__).parent.glob("*.py"))
+TREES = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -39,7 +41,7 @@ def _used(tree: ast.Module) -> set:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = TREES[path]
     used = _used(tree)
     unused = sorted(
         "%s (line %d)" % (name, line) for name, line in _imported(tree).items() if name not in used
@@ -50,3 +52,58 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import math\nfrom typing import Optional, Tuple\nx: Tuple = ()\n")
     assert set(_imported(tree)) - _used(tree) == {"math", "Optional"}
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Name -> line of each private module-level function, class or constant."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _loaded(trees) -> set:
+    """Every name read as a Name or an Attribute in the given modules."""
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    loaded = _loaded(TREES.values())
+    dead = sorted(
+        "%s (line %d)" % (name, line)
+        for name, line in _private_definitions(TREES[path]).items()
+        if name not in loaded
+    )
+    assert not dead, "%s defines private names the package never reads: %s" % (
+        path.name,
+        ", ".join(dead),
+    )
+
+
+def test_checker_flags_a_dead_private_name():
+    mod = ast.parse(
+        "_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n"
+        "def _helper():\n    return _LIMIT\n"
+        "def _dead():\n    _local = 1\n    return _local\n"
+        "class _Hidden:\n    pass\n"
+    )
+    user = ast.parse("import mod\nmod._helper()\n_Hidden = None\n")
+    assert set(_private_definitions(mod)) - _loaded([mod, user]) == {"_SPARE", "_dead", "_Hidden"}

@@ -9,6 +9,7 @@ import pytest
 
 from ckgeo import (
     DimensionMismatch,
+    DomainError,
     MPlane,
     Space,
     apply_plane,
@@ -237,6 +238,19 @@ def test_column_checks_match_pairwise_loops():
                 assert got == failure
                 failures.add(failure.split(" have")[0])
     assert len(failures) >= 3 and any(not f.startswith("columns 0,") for f in failures)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sig", ["ee", "pe"])
+def test_validate_rejects_non_finite(sig, bad):
+    # ee validates directly, pe by sampling; both name the first entry in row order
+    sp = Space(sig)
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    mat[2, 0] = bad
+    want = r"^matrix entry \(1, 2\) is %r, not a finite number$" % bad
+    with pytest.raises(DomainError, match=want):
+        validate(sp, mat)
 
 
 def test_validate_shape_error():

@@ -85,6 +85,20 @@ def test_minimum_sample_count():
         mc_volume(EE, octant(), 999, 1)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, -1.0, math.nan])
+def test_negative_tolerance_is_rejected(tol):
+    with pytest.raises(DomainError, match="tol must be nonnegative"):
+        mc_volume(EE, octant(), 10_000, 1, tol=tol)
+
+
+def test_space_must_match_the_simplex():
+    # a wrong n, and a same-n signature, in which the octant's cone is unbounded
+    with pytest.raises(DimensionMismatch, match="different space"):
+        mc_volume(Space("eee"), octant(), 10_000, 1)
+    with pytest.raises(DimensionMismatch, match="different space"):
+        mc_volume(HE, octant(), 10_000, 1)
+
+
 # -- membership --------------------------------------------------------------------
 
 
@@ -208,6 +222,77 @@ def test_hits_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(volume_module, "_CHUNK", 777)
     chunked = mc_volume(EE, octant(), 10_000, 5)
     assert (chunked.hits, chunked.value) == (whole.hits, whole.value)
+
+
+def _reference_mc_volume(space, simplex, samples, seed, tol=1e-9):
+    """mc_volume with numpy's row reductions and the coefficient-sum fallback
+    for rows whose squared norm is not above 1e-12."""
+    mat = simplex.matrix()
+    rows, count = mat.shape
+    gram = mat.T @ (space._Karr[:, None] * mat)
+    reach = 1.0 / math.sqrt(volume_module._min_gram_on_simplex(gram))
+    R = np.linalg.qr(mat, mode="r")
+    scale = count * reach**count * abs(float(np.prod(np.diag(R)))) / math.factorial(count)
+    kappa = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(R)))
+    rounding = scale * (rows * count * kappa + count + 3) * np.finfo(float).eps / 2.0
+    rng = np.random.default_rng(seed)
+    hits = done = 0
+    while done < samples:
+        take = min(volume_module._CHUNK, samples - done)
+        e = rng.standard_exponential((take, count + 1))
+        mu = e[:, :count]
+        mu *= (reach / e.sum(axis=1))[:, None]
+        qvals = ((mu @ gram) * mu).sum(axis=1)
+        inside = np.where(qvals > 1e-12, qvals <= 1.0 + tol, mu.sum(axis=1) <= 1.0 + tol)
+        hits += int(np.count_nonzero(inside))
+        done += take
+    rate = hits / samples
+    stderr = math.hypot(scale * math.sqrt(rate * (1.0 - rate) / samples), rounding)
+    return hits, scale * rate, stderr
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_row_sums_match_numpy_on_narrow_rows(k):
+    # the sampler's rows have count + 1 <= 7 columns for up to 6 vertices
+    rng = np.random.default_rng(k)
+    wide = rng.standard_exponential((2_000, 8)) * rng.choice([-1e8, 1e-8, 1.0], (2_000, 8))
+    for a in (wide[:, :k], wide[:, :k].copy()):
+        assert np.array_equal(volume_module._row_sums(a), a.sum(axis=1))
+
+
+def _unit_simplex(sig, raws):
+    sp = Space(sig)
+    return sp, GeodesicSimplex(sp, [sp.normalize(r) for r in raws])
+
+
+def _boost(t, *rest):
+    return [math.cosh(t), math.sinh(t), *rest]
+
+
+REFERENCE_SIMPLEXES = {
+    "ee segment": lambda: _unit_simplex("ee", [[1, 0, 0], [0.6, 0.8, 0.1]]),
+    "ee octant": lambda: (EE, octant()),
+    "pe triangle": lambda: (PE, euclid_triangle((0, 0), (3, 0), (0, 4))),
+    "he triangle": lambda: _unit_simplex("he", [[1, 0, 0], [1, 0.5, 0.1], [1, -0.2, 0.6]]),
+    "hpe tetrahedron": lambda: _unit_simplex(
+        "hpe", [_boost(0, 0, 0), _boost(0.4, 1, 0), _boost(-0.3, 0, 2), _boost(0.2, -1, 1)]
+    ),
+    "eee tetrahedron": lambda: _unit_simplex(
+        "eee", [[1, 0, 0, 0], [0.5, 1, 0, 0], [0.5, 0, 1, 0], [0.4, 0.3, 0.2, 1]]
+    ),
+    "eeee simplex": lambda: _unit_simplex("eeee", np.eye(5) + 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SIMPLEXES))
+@pytest.mark.parametrize("chunk", [None, 777])
+def test_estimates_match_the_reference_loop(monkeypatch, name, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(volume_module, "_CHUNK", chunk)
+    sp, simplex = REFERENCE_SIMPLEXES[name]()
+    for seed, samples in [(1, 2_345), (2, 5_001), (3, 140_001)]:
+        est = mc_volume(sp, simplex, samples, seed)
+        assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, samples, seed)
 
 
 def test_estimate_dict_shape():
