@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -208,15 +209,23 @@ class Space:
         Raises DomainError when a coordinate is not finite, OnAbsolute when
         the self-product vanishes (within tol, relative to the absolute term
         sizes) and NegativeNorm when it is negative.  The representative is
-        fixed so its first significant coordinate is > 0.  A stack of vectors
-        (any leading axes) gives a read-only array of unit rows, or the error
-        of its first bad row.
+        fixed so its first significant coordinate is > 0.  A vector with a
+        coordinate above 1e150 in magnitude is divided by its largest one
+        before squaring, and an error reports that vector's self-product.  A
+        stack of vectors (any leading axes) gives a read-only array of unit
+        rows, or the error of its first bad row.
         """
         arr = self._vec(raw)
         points = rows = arr.reshape(-1, self.n + 1)
         if not np.isfinite(points).all():
             # Zeroed rows fail the norm test below; _norm_error names the culprit.
             rows = np.where(np.isfinite(points).all(axis=1, keepdims=True), points, 0.0)
+        mags = np.abs(rows)
+        peak = mags.max(axis=1, keepdims=True)
+        huge = peak > 1e150
+        if huge.any():
+            # Their squares would overflow: such rows are measured divided by their peak.
+            rows = rows / np.where(huge, peak, 1.0)
         q, scale = np.vecmat(rows * rows, self._norm_weights).T
         limit = tol * np.maximum(1.0, scale)
         bad = q <= limit
@@ -224,8 +233,7 @@ class Space:
             first = int(bad.argmax())
             raise _norm_error(points[first], float(q[first]), float(limit[first]))
         # Canonical sign: the first coordinate above 1e-12 of the peak is > 0.
-        mags = np.abs(rows)
-        lead = (mags > 1e-12 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+        lead = (mags > 1e-12 * peak).argmax(axis=1)
         sign = np.where(rows[np.arange(len(rows)), lead] < 0.0, -1.0, 1.0)
         unit = rows / (sign * np.sqrt(q))[:, None]
         if arr.ndim == 1:
@@ -251,10 +259,9 @@ class Space:
         # the (i, j) a pairwise loop would meet first.
         cols = plane.cols.T
         got = self.dot_points(cols[:, None, :], cols[None, :, :])
-        want = np.diag(self._Karr[: plane.m + 1])
+        want, upper = _column_targets(self.sig, plane.m)
         peak = np.abs(cols).max(axis=1)
-        mag = np.outer(peak, peak)
-        upper = ~np.tri(plane.m + 1, k=-1, dtype=bool)
+        mag = peak[:, None] * peak[None, :]
         bad = upper & (np.abs(got - want) > tol * np.maximum(1.0, mag * mag))
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
@@ -314,14 +321,29 @@ class Space:
         raises DegenerateTriangle with the error that pair raises alone.
         """
         xv, yv = self._vec(x), self._vec(y)
-        c, s = self._point_products(xv, yv)
-        usable = (s.imag == 0.0) & (s.real != 0.0)
-        if not usable.all():
-            first = np.unravel_index(np.argmin(usable), usable.shape)
-            raise DegenerateTriangle(
-                "no real unit direction between the given points (cross %r)" % (_scalar(s[first]),)
-            )
-        return (yv - c[..., None] * xv) / s.real[..., None]
+        return _direction(xv, yv, *self._point_products(xv, yv))
+
+
+def _direction(xv: np.ndarray, yv: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Space.direction from the products (c, s) of its rows, already formed."""
+    usable = (s.imag == 0.0) & (s.real != 0.0)
+    if not usable.all():
+        first = np.unravel_index(np.argmin(usable), usable.shape)
+        raise DegenerateTriangle(
+            "no real unit direction between the given points (cross %r)" % (_scalar(s[first]),)
+        )
+    return (yv - c[..., None] * xv) / s.real[..., None]
+
+
+@lru_cache(maxsize=None)
+def _column_targets(sig, m: int):
+    """The column products a valid m-plane has, diag(K_0 .. K_m), and the
+    mask of their upper triangle; read-only, built once per (signature, m)."""
+    want = np.diag(np.array(kernel.cumulative_products(sig)[: m + 1], dtype=float))
+    upper = ~np.tri(m + 1, k=-1, dtype=bool)
+    want.setflags(write=False)
+    upper.setflags(write=False)
+    return want, upper
 
 
 def _scalar(value):
@@ -341,17 +363,20 @@ def _root(rad, term_scale):
     result is a complex array: real entries for real cross products,
     imaginary ones (the magnitude times 1j) where the radicand is negative.
     """
-    real = rad >= -1e-12 * np.maximum(1.0, term_scale)
-    # abs() turns the snap window and -0.0 into +0.0, a negative radicand into its magnitude.
-    mag = np.sqrt(np.abs(np.where(real & (rad < 0.0), 0.0, rad)))
-    return np.where(real, mag, 1j * mag)
+    snap = (rad < 0.0) & (rad >= -1e-12 * np.maximum(1.0, term_scale))
+    # Adding 0j turns -0.0 into +0.0; the complex root of a negative x is +0 + sqrt(-x)j.
+    return np.sqrt(np.where(snap, 0.0, rad) + 0j)
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise DomainError naming the first non-finite entry of arr, in index order."""
+def _require_finite(arr: np.ndarray, what: str, limit: float = math.inf) -> None:
+    """Raise DomainError naming the first non-finite entry of arr, in index
+    order, or else the first entry above limit in magnitude."""
     if not np.isfinite(arr).all():
         first = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
         raise DomainError("%s %s is %r, not a finite number" % (what, first, float(arr[first])))
+    if limit < math.inf and (np.abs(arr) > limit).any():
+        first = tuple(np.argwhere(np.abs(arr) > limit)[0].tolist())
+        raise DomainError("%s %s is %r, above %r in magnitude" % (what, first, float(arr[first]), limit))
 
 
 def _norm_error(point: np.ndarray, q: float, limit: float) -> GeometryError:

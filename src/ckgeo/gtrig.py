@@ -51,10 +51,14 @@ def _overflow(name: str, x: float) -> DomainError:
 
 def gtan(k: int, x: float) -> float:
     """Tangent-like kernel gsin/gcos; raises PoleError where gcos vanishes."""
-    c = gcos(k, x)
+    return _tan(k, x, gcos(k, x), gsin(k, x))
+
+
+def _tan(k: int, x: float, c: float, s: float) -> float:
+    """gtan(k, x) from c = gcos(k, x) and s = gsin(k, x), already evaluated."""
     if c == 0.0:
         raise PoleError("gtan pole at x = %r for k = %d" % (x, k))
-    return gsin(k, x) / c
+    return s / c
 
 
 def gmeasure_from_cs(k: int, c: float, s: float, tol: float = 1e-9) -> float:

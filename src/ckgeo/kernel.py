@@ -106,25 +106,6 @@ class Monomial:
             raise ValueError("cumulative index out of range")
         return cls(1, (1,) * i + (0,) * (n - i))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exps) != len(other.exps):
-            raise ValueError("monomials over different characteristic counts")
-        return Monomial(
-            self.sign * other.sign,
-            tuple(a + b for a, b in zip(self.exps, other.exps)),
-        )
-
-    def divided_by(self, other: "Monomial") -> "Monomial":
-        if len(self.exps) != len(other.exps):
-            raise ValueError("monomials over different characteristic counts")
-        return Monomial(
-            self.sign * other.sign,
-            tuple(a - b for a, b in zip(self.exps, other.exps)),
-        )
-
-    def negated(self) -> "Monomial":
-        return Monomial(-self.sign, self.exps)
-
     def eval(self, sig: Iterable[int]) -> int:
         """Evaluate at a signature; result is always one of -1, 0, 1.
 

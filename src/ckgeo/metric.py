@@ -13,7 +13,9 @@ between the continuation of AB past B and the ray toward C.  With that
 convention one consistent set of sine, cosine, and tangent relations holds
 across all nine planar signatures; the registry evaluates each relation as
 printed in its source material together with a pattern-corrected variant
-where the two disagree, and reports both residuals.
+where the two disagree, and reports both residuals.  Each kernel value a
+relation needs (cosine-, sine- and tangent-like, of a side or an angle) is
+evaluated once per call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict
 
 import numpy as np
 
-from .entity import Imaginary, MPlane, ProjPoint, Space, _scalar
+from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _scalar
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -32,7 +34,7 @@ from .errors import (
     InconsistentPair,
     NoSolution,
 )
-from .gtrig import gcos, gmeasure_from_cs, gsin, gtan
+from .gtrig import _tan, gcos, gmeasure_from_cs, gsin
 from .transform import apply_point, compose, givens
 
 
@@ -131,7 +133,8 @@ class Triangle:
             raise DimensionMismatch("triangles need a planar space (n = 2)")
         A, B, C = (self.space._vec(p) for p in (self.A, self.B, self.C))
         s = self.space.cross_points(np.array([A, A, B]), np.array([B, C, C]))
-        usable = (s.imag == 0.0) & (s.real != 0.0)
+        # Real and nonzero: an imaginary root has real part +0.0, a NaN one NaN.
+        usable = s.real > 0.0
         if not usable.all():
             first = int(usable.argmin())
             raise DegenerateTriangle(
@@ -202,11 +205,13 @@ def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
     """
     sp = tri.space
     A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
-    a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]), tol)
-    # The six rays in one batch; the Triangle invariant keeps every one real.
-    to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
-        np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
-    )
+    # One product pass over the six ordered pairs: rows (B, C), (A, C) and
+    # (A, B) are the sides a, b, c, and all six give the rays.
+    x, y = np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
+    dots, roots = sp._point_products(x, y)
+    a, b, c = _measure_pair(sp.sig[0], dots[[3, 1, 0]], roots[[3, 1, 0]], 1, tol)
+    # The Triangle invariant keeps every ray real.
+    to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = _direction(x, y, dots, roots)
     # Exterior convention at B: continue the AB geodesic past B.
     alpha, beta_prime, gamma = _ray_angles(
         sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2]), tol
@@ -252,7 +257,9 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     pattern calls for side c; for the tangent relations the printed quartic
     term mixes levels.  Both readings are evaluated; the residual reported
     under the plain key is the smaller one and `variants` names the winner
-    ("tie" when they agree to within roundoff).
+    ("tie" when they agree to within roundoff).  The 24 kernel values are
+    each evaluated once, in the order of their first use in the relations,
+    so an overflow raises the error the relations meet first.
     """
     if space.n != 2:
         raise DimensionMismatch("law registry applies to planar spaces")
@@ -262,24 +269,31 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     a, b, c = tm.a.value, tm.b.value, tm.c.value
     al, bp, ga = tm.alpha.value, tm.beta_prime.value, tm.gamma.value
 
-    C1, S1 = (lambda v: gcos(k1, v)), (lambda v: gsin(k1, v))
-    C2, S2 = (lambda v: gcos(k2, v)), (lambda v: gsin(k2, v))
-    T1, T2 = (lambda v: gtan(k1, v)), (lambda v: gtan(k2, v))
+    # Sides at k1 and angles at k2 by name (not by value: 0.0 == -0.0); the
+    # mixed quartic terms need sines of the angles at k1 and of the sides at k2.
+    Sa, Sbp, Sb = gsin(k1, a), gsin(k2, bp), gsin(k1, b)
+    Sal, Sga, Sc = gsin(k2, al), gsin(k2, ga), gsin(k1, c)
+    Ca, Cb, Cc = gcos(k1, a), gcos(k1, b), gcos(k1, c)
+    Cal, Cbp, Cga = gcos(k2, al), gcos(k2, bp), gcos(k2, ga)
+    Ta, Tb, Tc = _tan(k1, a, Ca, Sa), _tan(k1, b, Cb, Sb), _tan(k1, c, Cc, Sc)
+    S1al, S1bp, S1ga = gsin(k1, al), gsin(k1, bp), gsin(k1, ga)
+    Tal, Tbp, Tga = _tan(k2, al, Cal, Sal), _tan(k2, bp, Cbp, Sbp), _tan(k2, ga, Cga, Sga)
+    S2a, S2b, S2c = gsin(k2, a), gsin(k2, b), gsin(k2, c)
 
     residuals: Dict[str, float] = {}
     variant_values: Dict[str, Dict[str, float]] = {}
     variants: Dict[str, str] = {}
 
     residuals["eq13"] = max(
-        _rel(S1(a) * S2(bp), S1(b) * S2(al)),
-        _rel(S1(a) * S2(ga), S1(c) * S2(al)),
-        _rel(S1(b) * S2(ga), S1(c) * S2(bp)),
+        _rel(Sa * Sbp, Sb * Sal),
+        _rel(Sa * Sga, Sc * Sal),
+        _rel(Sb * Sga, Sc * Sbp),
     )
-    residuals["eq14"] = _rel(C1(a), C1(b) * C1(c) + k1 * S1(b) * S1(c) * C2(al))
-    residuals["eq15"] = _rel(C1(b), C1(a) * C1(c) - k1 * S1(a) * S1(c) * C2(bp))
-    residuals["eq16"] = _rel(C1(c), C1(a) * C1(b) + k1 * S1(a) * S1(b) * C2(ga))
-    residuals["eq17"] = _rel(C2(al), C2(bp) * C2(ga) + k2 * S2(bp) * S2(ga) * C1(a))
-    residuals["eq18"] = _rel(C2(bp), C2(al) * C2(ga) - k2 * S2(al) * S2(ga) * C1(b))
+    residuals["eq14"] = _rel(Ca, Cb * Cc + k1 * Sb * Sc * Cal)
+    residuals["eq15"] = _rel(Cb, Ca * Cc - k1 * Sa * Sc * Cbp)
+    residuals["eq16"] = _rel(Cc, Ca * Cb + k1 * Sa * Sb * Cga)
+    residuals["eq17"] = _rel(Cal, Cbp * Cga + k2 * Sbp * Sga * Ca)
+    residuals["eq18"] = _rel(Cbp, Cal * Cga - k2 * Sal * Sga * Cb)
 
     def record(key: str, printed: float, corrected: float) -> None:
         variant_values[key] = {"as-printed": printed, "corrected": corrected}
@@ -291,8 +305,8 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
 
     record(
         "eq19",
-        _rel(C2(ga), C2(al) * C2(bp) + k2 * S2(al) * S2(bp) * C1(a)),
-        _rel(C2(ga), C2(al) * C2(bp) + k2 * S2(al) * S2(bp) * C1(c)),
+        _rel(Cga, Cal * Cbp + k2 * Sal * Sbp * Ca),
+        _rel(Cga, Cal * Cbp + k2 * Sal * Sbp * Cc),
     )
 
     def tangent_law(klevel, lhs, t1, t2, cos_other, sin_printed, sin_corrected, sign):
@@ -320,12 +334,12 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
 
         return resid(sin_printed * sin_printed), resid(sin_corrected * sin_corrected)
 
-    record("eq20", *tangent_law(k1, T1(a), T1(b), T1(c), C2(al), S1(al), S2(al), -1.0))
-    record("eq21", *tangent_law(k1, T1(b), T1(a), T1(c), C2(bp), S1(bp), S2(bp), +1.0))
-    record("eq22", *tangent_law(k1, T1(c), T1(a), T1(b), C2(ga), S1(ga), S2(ga), -1.0))
-    record("eq23", *tangent_law(k2, T2(al), T2(bp), T2(ga), C1(a), S1(a), S2(a), -1.0))
-    record("eq24", *tangent_law(k2, T2(bp), T2(al), T2(ga), C1(b), S1(b), S2(b), +1.0))
-    record("eq25", *tangent_law(k2, T2(ga), T2(al), T2(bp), C1(c), S1(c), S2(c), -1.0))
+    record("eq20", *tangent_law(k1, Ta, Tb, Tc, Cal, S1al, Sal, -1.0))
+    record("eq21", *tangent_law(k1, Tb, Ta, Tc, Cbp, S1bp, Sbp, +1.0))
+    record("eq22", *tangent_law(k1, Tc, Ta, Tb, Cga, S1ga, Sga, -1.0))
+    record("eq23", *tangent_law(k2, Tal, Tbp, Tga, Ca, Sa, S2a, -1.0))
+    record("eq24", *tangent_law(k2, Tbp, Tal, Tga, Cb, Sb, S2b, +1.0))
+    record("eq25", *tangent_law(k2, Tga, Tal, Tbp, Cc, Sc, S2c, -1.0))
 
     return LawReport(residuals, variant_values, variants)
 
@@ -380,21 +394,25 @@ def right_triangle_residuals(space: Space, a: float, b: float, tol: float = 1e-9
         raise DomainError("right triangle angles came back imaginary")
     al, be = alpha.value, beta.value
 
-    T1 = lambda v: gtan(k1, v)
-    S1 = lambda v: gsin(k1, v)
-    C1 = lambda v: gcos(k1, v)
+    # Each kernel value once, in the order the relations below first use it;
+    # no float has gcos = 0, so the tangents' pole checks may come last.
+    Cc, Sc, Ca, Sa = gcos(k1, c), gsin(k1, c), gcos(k1, a), gsin(k1, a)
+    Cb, Sb = gcos(k1, b), gsin(k1, b)
+    Tc, Ta, Tb = _tan(k1, c, Cc, Sc), _tan(k1, a, Ca, Sa), _tan(k1, b, Cb, Sb)
+    cos_al, sin_al, tan_al = math.cos(al), math.sin(al), math.tan(al)
+    cos_be, sin_be, tan_be = math.cos(be), math.sin(be), math.tan(be)
 
     r: Dict[str, float] = {}
-    r["eq26"] = _rel(T1(c) ** 2, T1(a) ** 2 + T1(b) ** 2 + k1 * T1(a) ** 2 * T1(b) ** 2)
-    r["eq27"] = _rel(T1(b), T1(c) * math.cos(al))
-    r["eq28"] = _rel(T1(a), T1(c) * math.cos(be))
-    r["eq29"] = _rel(S1(a), S1(c) * math.sin(al))
-    r["eq30"] = _rel(S1(b), S1(c) * math.sin(be))
-    r["eq31"] = _rel(T1(a), S1(b) * math.tan(al))
-    r["eq32"] = _rel(T1(b), S1(a) * math.tan(be))
-    r["eq33"] = _rel(math.cos(al), C1(a) * math.sin(be))
-    r["eq34"] = _rel(math.cos(be), C1(b) * math.sin(al))
-    r["eq35"] = _rel(C1(c), (math.cos(al) / math.sin(al)) * (math.cos(be) / math.sin(be)))
+    r["eq26"] = _rel(Tc ** 2, Ta ** 2 + Tb ** 2 + k1 * Ta ** 2 * Tb ** 2)
+    r["eq27"] = _rel(Tb, Tc * cos_al)
+    r["eq28"] = _rel(Ta, Tc * cos_be)
+    r["eq29"] = _rel(Sa, Sc * sin_al)
+    r["eq30"] = _rel(Sb, Sc * sin_be)
+    r["eq31"] = _rel(Ta, Sb * tan_al)
+    r["eq32"] = _rel(Tb, Sa * tan_be)
+    r["eq33"] = _rel(cos_al, Ca * sin_be)
+    r["eq34"] = _rel(cos_be, Cb * sin_al)
+    r["eq35"] = _rel(Cc, (cos_al / sin_al) * (cos_be / sin_be))
 
     meas_a = distance(space, V_C, V_B, tol).value
     meas_b = distance(space, V_C, V_A, tol).value
@@ -420,20 +438,21 @@ def solve_sas(space: Space, b: float, alpha: float, c: float, tol: float = 1e-9)
 
     try:
         if k1 != 0:
-            C1a = gcos(k1, b) * gcos(k1, c) + k1 * gsin(k1, b) * gsin(k1, c) * C2al
-            a = _invert_c(k1, C1a, tol)
+            C1b, C1c, S1b, S1c = gcos(k1, b), gcos(k1, c), gsin(k1, b), gsin(k1, c)
+            a = _invert_c(k1, C1b * C1c + k1 * S1b * S1c * C2al, tol)
         else:
             rad = b * b + c * c - 2.0 * b * c * C2al
             if rad < 0.0:
                 raise NoSolution("squared side came out negative (%r)" % (rad,))
             a = math.sqrt(rad)
-        S1a, S1b, S1c = gsin(k1, a), gsin(k1, b), gsin(k1, c)
+            S1b, S1c = gsin(k1, b), gsin(k1, c)
+        S1a = gsin(k1, a)
         if S1a == 0.0:
             raise NoSolution("degenerate solved side a = %r" % (a,))
         S2bp = S1b * S2al / S1a
         S2ga = S1c * S2al / S1a
         if k1 != 0:
-            C1a_, C1b, C1c = gcos(k1, a), gcos(k1, b), gcos(k1, c)
+            C1a_ = gcos(k1, a)
             C2bp = (C1a_ * C1c - C1b) / (k1 * S1a * S1c)
             C2ga = (C1c - C1a_ * C1b) / (k1 * S1a * S1b)
         else:

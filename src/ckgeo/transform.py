@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .entity import MPlane, ProjPoint, Space, _require_finite
+from .entity import MPlane, ProjPoint, Space, _column_targets, _require_finite
 from .errors import DimensionMismatch
 from .gtrig import gcos, gsin
 
@@ -24,6 +25,9 @@ from .gtrig import gcos, gsin
 # signatures; fixed so validation reports are reproducible.
 _SAMPLE_SEED = 1729
 _SAMPLE_PAIRS = 32
+# Largest matrix entry validate accepts: the squares of entries up to it, and
+# sums of a few of them, stay finite.
+_ENTRY_LIMIT = 1e150
 
 Generator = Tuple  # ("givens", i, j, t) or ("reflect", axis)
 
@@ -195,13 +199,13 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     In degenerate signatures those relations underdetermine the group, so the
     weak column relations are combined with preservation of point dot and
     cross products on a fixed seeded sample of raw vector pairs.  A
-    non-finite entry raises DomainError naming its index, before any product
-    is formed.
+    non-finite entry, or else one above 1e150 in magnitude, raises
+    DomainError naming its index, before any product is formed.
     """
     mat = np.array(matrix, dtype=float)
     if mat.shape != (space.n + 1, space.n + 1):
         raise DimensionMismatch("matrix must be (n+1) x (n+1)")
-    _require_finite(mat, "matrix entry")
+    _require_finite(mat, "matrix entry", _ENTRY_LIMIT)
     degenerate = any(K == 0 for K in space.K)
     checks: List[Tuple[str, float]] = []
 
@@ -211,8 +215,9 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     cols = mat.T
     got = space.dot_points(cols[:, None, :], cols[None, :, :])
     kmin = space._Karr[:, None]
-    resid = np.abs(got / np.where(kmin != 0, kmin, scale) - np.eye(len(cols)) * (kmin != 0))
-    upper = ~np.tri(len(cols), k=-1, dtype=bool)
+    want, upper = _column_targets(space.sig, space.n)
+    # |K_i| on the diagonal: 1 where K_i != 0, and 0 where the row compares against 0.
+    resid = np.abs(got / np.where(kmin != 0, kmin, scale) - np.abs(want))
     # fmax skips NaN residuals, as the running max(worst, resid) of a pairwise loop does.
     worst_cols = float(np.fmax.reduce(resid[upper], initial=0.0))
     checks.append(("column_products", worst_cols))
@@ -223,11 +228,7 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
         worst = max(worst_cols, det_resid)
         return ValidationReport(worst <= tol, "direct", worst, tuple(checks))
 
-    # The same seeded draws as pair by pair (x, then y), checked as two stacks.
-    rng = random.Random(_SAMPLE_SEED)
-    dim = space.n + 1
-    draws = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * _SAMPLE_PAIRS * dim)])
-    x, y = draws.reshape(_SAMPLE_PAIRS, 2, dim).transpose(1, 0, 2)
+    x, y = _sample_pairs(space.n + 1)
     gx, gy = x @ mat.T, y @ mat.T
     ref = max(1.0, scale * scale)
     worst_dot = float(np.abs(space.dot_points(gx, gy) - space.dot_points(x, y)).max()) / ref
@@ -239,3 +240,13 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     checks.append(("sampled_cross", worst_cross))
     worst = max(worst_cols, worst_dot, worst_cross)
     return ValidationReport(worst <= tol, "sampled", worst, tuple(checks))
+
+
+@lru_cache(maxsize=None)
+def _sample_pairs(dim: int) -> np.ndarray:
+    """The seeded raw vector pairs of sampled validation, drawn pair by pair
+    (x, then y) once per dimension: a read-only (2, pairs, dim) array."""
+    rng = random.Random(_SAMPLE_SEED)
+    draws = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * _SAMPLE_PAIRS * dim)])
+    draws.setflags(write=False)
+    return draws.reshape(_SAMPLE_PAIRS, 2, dim).transpose(1, 0, 2)

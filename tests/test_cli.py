@@ -339,6 +339,13 @@ def test_transform_validate_non_finite_exit_code(capsys, bad):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_transform_validate_huge_entry_exit_code(capsys):
+    matrix = "[[1e200,0,0],[0,1,0],[0,0,1]]"
+    code, out, err = run(capsys, "transform", "--space", "he", "--validate", matrix)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 # -- exit codes -----------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckgeo.entity import _root
 from ckgeo import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -113,6 +114,40 @@ def test_defining_identity_for_raw_points(sig, data):
 # -- normalization ----------------------------------------------------------------
 
 
+def _root_reference(rad, term_scale):
+    """The snapped root as an earlier three-where formula computed it."""
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j
+        real = rad >= -1e-12 * np.maximum(1.0, term_scale)
+        mag = np.sqrt(np.abs(np.where(real & (rad < 0.0), 0.0, rad)))
+        return np.where(real, mag, 1j * mag)
+
+
+def _same_bits(x, y):
+    return all(
+        (math.isnan(u) and math.isnan(v)) or np.float64(u).tobytes() == np.float64(v).tobytes()
+        for u, v in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+def test_root_matches_the_reference_formula():
+    tiny, edge = 5e-324, 2.2250738585072014e-308
+    rads = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, edge, -edge]
+    rads += [1.0, -1.0, 2.0, -3.0, 1e300, -1e300]
+    rads += [float(v) * 10.0**e for e in range(-320, 309, 11) for v in (1.7, -0.6)]
+    scales = [0.0, tiny, 1.0, 3.0, 1e5, 1e20, 1e300, math.inf]
+    for scale in scales:  # both sides of the snap window's edge
+        cut = -1e-12 * max(1.0, scale)
+        rads += [cut, np.nextafter(cut, 0.0), np.nextafter(cut, -math.inf)]
+    # A kernel's term scale bounds |radicand| and is NaN only with it.
+    pairs = [(r, s) for r in rads for s in scales + [math.nan] if math.isnan(r) or s >= abs(r)]
+    assert len(pairs) > 500
+    rad, scale = np.array(pairs).T
+    got, want = _root(rad, scale), _root_reference(rad, scale)
+    for i, (r, s) in enumerate(pairs):
+        assert _same_bits(got[i], want[i]), (r, s, got[i], want[i])
+        assert _same_bits(_root(np.float64(r), np.float64(s)), got[i])
+
+
 def test_normalize_scales_to_unit():
     sp = Space("ee")
     p = sp.normalize([2.0, 0.0, 0.0])
@@ -171,6 +206,32 @@ def test_normalize_stack_matches_points():
         assert np.array_equal(stack, np.array([unit for _, unit in keep]))
         grid = sp.normalize(np.array([row for row, _ in keep[:4]]).reshape(2, 2, sp.n + 1))
         assert np.array_equal(grid.reshape(4, sp.n + 1), stack[:4])
+
+
+def test_normalize_divides_huge_rows_by_their_peak():
+    assert list(Space("he").normalize([1e200, 0.0, 0.0]).coords) == [1.0, 0.0, 0.0]
+    assert list(Space("ee").normalize([0.0, -3e200, 4e200]).coords) == [0.0, 0.6, -0.8]
+    with pytest.raises(OnAbsolute):
+        Space("he").normalize([1e200, 1e200, 0.0])
+
+
+def test_normalize_keeps_ordinary_rows_beside_huge_ones():
+    rng = np.random.default_rng(5)
+    for sig in all_sigs(2):
+        sp = Space(sig)
+        rows = rng.uniform(-2.0, 2.0, (30, 3))
+        rows[0, 0] = 3.0  # every signature measures this row
+        rows[::7] *= 1e180
+        alone = []
+        for row in rows:
+            try:
+                alone.append(sp.normalize(row).coords)
+            except (OnAbsolute, NegativeNorm):
+                alone.append(None)
+        keep = [i for i, unit in enumerate(alone) if unit is not None]
+        stack = sp.normalize(rows[keep])
+        for got, i in zip(stack, keep):
+            assert got.tobytes() == alone[i].tobytes()
 
 
 def test_normalize_stack_reports_first_bad_row():

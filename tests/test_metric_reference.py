@@ -1,0 +1,253 @@
+"""Triangles, their measurements and the law registry against reference copies.
+
+The references below are the straightforward forms: sides and rays from two
+product passes, and every relation calling the kernels for itself.  The
+library computes each value once; it must give the same bits, the same
+refusals and the same first error.
+"""
+
+import math
+import random
+from typing import Dict
+
+import numpy as np
+import pytest
+
+from ckgeo import (
+    DegenerateTriangle,
+    GeometryError,
+    Imaginary,
+    Measure,
+    MPlane,
+    ProjPoint,
+    Space,
+    Triangle,
+    TriangleMeasurements,
+    angle,
+    distance,
+    gcos,
+    gsin,
+    gtan,
+    law_residuals,
+    measure_triangle,
+    metric,
+    triangle_from_sas,
+)
+from ckgeo.metric import LawReport, _rel
+
+PLANAR_SIGS = [(k1, k2) for k1 in (1, 0, -1) for k2 in (1, 0, -1)]
+
+
+def reference_measure_triangle(tri, tol=1e-9):
+    sp = tri.space
+    A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
+    a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]), tol)
+    to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
+        np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
+    )
+    vertices = np.array([A, B, C])
+    X = MPlane(sp, np.stack([vertices, np.array([to_B, -to_A_at_B, to_A])], axis=-1), validate=False)
+    Y = MPlane(sp, np.stack([vertices, np.array([to_C, toward_C, to_B2])], axis=-1), validate=False)
+    alpha, beta_prime, gamma = angle(sp, X, Y, tol)
+    return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
+
+
+def reference_law_residuals(space, tm):
+    k1, k2 = space.sig
+    a, b, c = tm.a.value, tm.b.value, tm.c.value
+    al, bp, ga = tm.alpha.value, tm.beta_prime.value, tm.gamma.value
+
+    C1, S1 = (lambda v: gcos(k1, v)), (lambda v: gsin(k1, v))
+    C2, S2 = (lambda v: gcos(k2, v)), (lambda v: gsin(k2, v))
+    T1, T2 = (lambda v: gtan(k1, v)), (lambda v: gtan(k2, v))
+
+    residuals: Dict[str, float] = {}
+    variant_values: Dict[str, Dict[str, float]] = {}
+    variants: Dict[str, str] = {}
+
+    residuals["eq13"] = max(
+        _rel(S1(a) * S2(bp), S1(b) * S2(al)),
+        _rel(S1(a) * S2(ga), S1(c) * S2(al)),
+        _rel(S1(b) * S2(ga), S1(c) * S2(bp)),
+    )
+    residuals["eq14"] = _rel(C1(a), C1(b) * C1(c) + k1 * S1(b) * S1(c) * C2(al))
+    residuals["eq15"] = _rel(C1(b), C1(a) * C1(c) - k1 * S1(a) * S1(c) * C2(bp))
+    residuals["eq16"] = _rel(C1(c), C1(a) * C1(b) + k1 * S1(a) * S1(b) * C2(ga))
+    residuals["eq17"] = _rel(C2(al), C2(bp) * C2(ga) + k2 * S2(bp) * S2(ga) * C1(a))
+    residuals["eq18"] = _rel(C2(bp), C2(al) * C2(ga) - k2 * S2(al) * S2(ga) * C1(b))
+
+    def record(key, printed, corrected):
+        variant_values[key] = {"as-printed": printed, "corrected": corrected}
+        if math.isclose(printed, corrected, rel_tol=1e-12, abs_tol=1e-15):
+            variants[key] = "tie"
+        else:
+            variants[key] = "as-printed" if printed < corrected else "corrected"
+        residuals[key] = min(printed, corrected)
+
+    record(
+        "eq19",
+        _rel(C2(ga), C2(al) * C2(bp) + k2 * S2(al) * S2(bp) * C1(a)),
+        _rel(C2(ga), C2(al) * C2(bp) + k2 * S2(al) * S2(bp) * C1(c)),
+    )
+
+    def tangent_law(klevel, lhs, t1, t2, cos_other, sin_printed, sin_corrected, sign):
+        def resid(sq):
+            num = (
+                t1 * t1
+                + t2 * t2
+                + sign * 2.0 * t1 * t2 * cos_other
+                + k1 * k2 * t1 * t1 * t2 * t2 * sq
+            )
+            den = 1.0 - sign * klevel * t1 * t2 * cos_other
+            u = lhs * lhs
+            best = math.inf
+            if den != 0.0:
+                best = _rel(u, num / (den * den))
+            if u != 0.0 and num != 0.0:
+                best = min(best, _rel(1.0 / u, den * den / num))
+            return best
+
+        return resid(sin_printed * sin_printed), resid(sin_corrected * sin_corrected)
+
+    record("eq20", *tangent_law(k1, T1(a), T1(b), T1(c), C2(al), S1(al), S2(al), -1.0))
+    record("eq21", *tangent_law(k1, T1(b), T1(a), T1(c), C2(bp), S1(bp), S2(bp), +1.0))
+    record("eq22", *tangent_law(k1, T1(c), T1(a), T1(b), C2(ga), S1(ga), S2(ga), -1.0))
+    record("eq23", *tangent_law(k2, T2(al), T2(bp), T2(ga), C1(a), S1(a), S2(a), -1.0))
+    record("eq24", *tangent_law(k2, T2(bp), T2(al), T2(ga), C1(b), S1(b), S2(b), +1.0))
+    record("eq25", *tangent_law(k2, T2(ga), T2(al), T2(bp), C1(c), S1(c), S2(c), -1.0))
+    return LawReport(residuals, variant_values, variants)
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else value.hex()
+    if isinstance(value, Measure):
+        return (_hex(value.value), value.level, value.kind)
+    if isinstance(value, TriangleMeasurements):
+        return [_hex(getattr(value, f)) for f in ("a", "b", "c", "alpha", "beta_prime", "gamma")]
+    if isinstance(value, LawReport):
+        return (
+            {k: _hex(v) for k, v in value.residuals.items()},
+            {k: {n: _hex(x) for n, x in v.items()} for k, v in value.variant_values.items()},
+            value.variants,
+        )
+    raise TypeError(type(value))
+
+
+def _outcome(fn, *args):
+    """The hex-rendered result of fn(*args), or the class and message it raised."""
+    try:
+        return "ok", _hex(fn(*args))
+    except (GeometryError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sas_triangles():
+    """Law-suite style SAS triangles in every planar signature, with large
+    measures mixed in, under the three labelings."""
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        rng = random.Random(600 + 10 * sig[0] + sig[1])
+        for trial in range(40):
+            b, alpha, c = (rng.uniform(0.05, 3.0) for _ in range(3))
+            if trial % 5 == 0:
+                b, c = 40.0 * b, 30.0 * c
+            if trial % 7 == 0:
+                alpha *= 50.0
+            try:
+                tri = triangle_from_sas(sp, b, alpha, c)
+            except GeometryError:
+                continue
+            for A, B, C in ((tri.A, tri.B, tri.C), (tri.B, tri.A, tri.C), (tri.A, tri.C, tri.B)):
+                yield sp, A, B, C
+
+
+def test_measurements_and_laws_match_the_references():
+    measured = laws = 0
+    for sp, A, B, C in _sas_triangles():
+        try:
+            tri = Triangle(sp, A, B, C)
+        except GeometryError:
+            continue
+        got = _outcome(measure_triangle, tri)
+        assert got == _outcome(reference_measure_triangle, tri)
+        if got[0] != "ok":
+            continue
+        measured += 1
+        tm = measure_triangle(tri)
+        if tm.all_real():
+            laws += 1
+            assert _outcome(law_residuals, sp, tm) == _outcome(reference_law_residuals, sp, tm)
+    assert measured > 400 and laws > 200
+
+
+def test_triangle_refuses_exactly_the_unusable_sides():
+    rng = random.Random(3)
+    refused = 0
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        for trial in range(60):
+            pts = [
+                np.array([rng.choice([1.0, 0.0]), rng.uniform(-2, 2), rng.choice([0.0, rng.uniform(-2, 2)])])
+                for _ in range(3)
+            ]
+            if trial % 4 == 0:
+                pts[1] = pts[0].copy()
+            if trial % 6 == 0:
+                pts[2] = -pts[0]
+            A, B, C = (ProjPoint(p) for p in pts)
+            s = sp.cross_points(np.array([pts[0], pts[0], pts[1]]), np.array([pts[1], pts[2], pts[2]]))
+            usable = (s.imag == 0.0) & (s.real != 0.0)
+            if usable.all():
+                Triangle(sp, A, B, C)
+                continue
+            refused += 1
+            first = int(usable.argmin())
+            value = s[first]
+            shown = float(value.real) if value.imag == 0.0 else Imaginary(float(value.imag))
+            want = "side %s has cross product %r (needs real and nonzero)" % (("AB", "AC", "BC")[first], shown)
+            with pytest.raises(DegenerateTriangle) as err:
+                Triangle(sp, A, B, C)
+            assert str(err.value) == want
+    assert refused > 100
+
+
+def test_law_overflow_raises_the_first_error_in_relation_order():
+    # Measures beyond sinh/cosh's float range, in every slot: the error named
+    # is the one the relations, evaluated in turn, meet first.
+    rng = random.Random(11)
+    values = (0.4, 1.7, 705.0, 711.0, 712.0, 760.0, 1e6, 2e6)
+    errors = set()
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        for _ in range(60):
+            measures = [rng.choice(values) for _ in range(6)]
+            tm = TriangleMeasurements(*(Measure(v, 1 + (i >= 3)) for i, v in enumerate(measures)))
+            got = _outcome(law_residuals, sp, tm)
+            assert got == _outcome(reference_law_residuals, sp, tm)
+            if got[0] != "ok":
+                errors.add(got[1])
+    assert len(errors) >= 4
+
+
+def test_law_residuals_evaluates_each_kernel_value_once(monkeypatch):
+    calls = []
+    for name in ("gcos", "gsin", "gtan"):
+        kernel = getattr(metric, name, None)
+        if kernel is not None:
+            monkeypatch.setattr(metric, name, lambda k, x, f=kernel, n=name: calls.append(n) or f(k, x))
+    sp = Space("he")
+    tm = measure_triangle(triangle_from_sas(sp, 0.7, 1.1, 0.9))
+    law_residuals(sp, tm)
+    assert 0 < len(calls) <= 24
+
+
+def test_measure_triangle_makes_one_point_product_pass(monkeypatch):
+    passes = []
+    products = Space._point_products
+    monkeypatch.setattr(Space, "_point_products", lambda self, x, y: passes.append(1) or products(self, x, y))
+    sp = Space("ee")
+    tri = triangle_from_sas(sp, 0.7, 1.1, 0.9)
+    passes.clear()
+    measure_triangle(tri)
+    assert len(passes) == 1

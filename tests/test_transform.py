@@ -253,6 +253,33 @@ def test_validate_rejects_non_finite(sig, bad):
         validate(sp, mat)
 
 
+@pytest.mark.parametrize("sig", ["ee", "pe"])
+def test_validate_rejects_huge_entries(sig):
+    # ee validates directly, pe by sampling; the first entry above 1e150 in row order
+    sp = Space(sig)
+    mat = np.eye(3)
+    mat[0, 2] = 1e150
+    mat[1, 1] = -1e200
+    mat[2, 0] = 1e300
+    with pytest.raises(DomainError, match=r"^matrix entry \(1, 1\) is -1e\+200, above 1e\+150 in magnitude$"):
+        validate(sp, mat)
+    mat[2, 2] = math.nan  # a non-finite entry is named first
+    with pytest.raises(DomainError, match=r"^matrix entry \(2, 2\) is nan, not a finite number$"):
+        validate(sp, mat)
+
+
+def test_sampled_validation_draws_once_per_dimension(monkeypatch):
+    # pepe and eeep are both n = 4: the second signature reuses the first's draws
+    sp, other = Space("pepe"), Space("eeep")
+    g, h = random_transform(sp, 3).matrix, random_transform(other, 4).matrix
+    first = validate(sp, g)
+    draws = []
+    monkeypatch.setattr(random.Random, "uniform", lambda *args: draws.append(args))
+    assert validate(sp, g) == first
+    assert validate(other, h).mode == "sampled"
+    assert draws == []
+
+
 def test_validate_shape_error():
     with pytest.raises(DimensionMismatch):
         validate(Space("ee"), np.eye(4))
