@@ -62,6 +62,14 @@ def _load_json_arg(text: str, what: str):
         raise _UsageError("%s: invalid JSON (%s)" % (what, exc)) from exc
 
 
+def _floats(payload, what: str) -> np.ndarray:
+    """A parsed JSON value as a float array; a non-number or a ragged nesting is a usage error."""
+    try:
+        return np.asarray(payload, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError("%s: %s" % (what, exc)) from exc
+
+
 def _space(args) -> Space:
     try:
         return Space(args.space)
@@ -74,7 +82,7 @@ def _point(space: Space, text: str, what: str) -> ProjPoint:
 
 
 def _plane(space: Space, payload, what: str) -> MPlane:
-    cols = np.asarray(payload, dtype=float)
+    cols = _floats(payload, what)
     if cols.ndim != 2:
         raise _UsageError("%s: expected a JSON array of column arrays" % what)
     return MPlane(space, cols.T)
@@ -145,7 +153,7 @@ def _cmd_volume(args) -> object:
     data = _load_json_arg(args.vertices, "--vertices")
     if not isinstance(data, list):
         raise _UsageError("--vertices: expected a JSON array of points")
-    points = [space.normalize(np.asarray(v, dtype=float)) for v in data]
+    points = [space.normalize(_floats(v, "--vertices")) for v in data]
     simplex = GeodesicSimplex(space, points)
     return mc_volume(space, simplex, args.samples, args.seed).to_dict()
 
@@ -156,7 +164,7 @@ def _cmd_transform(args) -> object:
     if len(chosen) != 1:
         raise _UsageError("transform needs exactly one of --random, --givens, --validate")
     if args.validate is not None:
-        mat = np.asarray(_load_json_arg(args.validate, "--validate"), dtype=float)
+        mat = _floats(_load_json_arg(args.validate, "--validate"), "--validate")
         side = space.n + 1
         if mat.size != side * side:
             raise _UsageError("--validate: matrix needs %d entries" % (side * side,))
@@ -168,19 +176,20 @@ def _cmd_transform(args) -> object:
         if len(parts) != 3:
             raise _UsageError("--givens needs i,j,t")
         try:
-            i, j, t = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
+            g = givens(space, int(parts[0]), int(parts[1]), float(parts[2]))
+        except ValueError as exc:  # unparsable, or not 0 <= i < j <= n
             raise _UsageError("--givens: %s" % exc) from exc
-        g = givens(space, i, j, t)
     payload = {"transform": g.to_dict()}
     if args.apply is not None:
         data = _load_json_arg(args.apply, "--apply")
         if not isinstance(data, dict):
             raise _UsageError("--apply: expected a JSON object")
+        if not all(isinstance(data.get(key, []), list) for key in ("points", "planes")):
+            raise _UsageError("--apply: 'points' and 'planes' must be JSON arrays")
         applied = {}
         if "points" in data:
             applied["points"] = [
-                list(apply_point(g, np.asarray(p, dtype=float)).coords)
+                list(apply_point(g, _floats(p, "--apply")).coords)
                 for p in data["points"]
             ]
         if "planes" in data:

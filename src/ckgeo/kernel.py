@@ -96,10 +96,6 @@ class Monomial:
             raise ValueError("monomial sign must be -1 or +1")
 
     @classmethod
-    def unit(cls, n: int) -> "Monomial":
-        return cls(1, (0,) * n)
-
-    @classmethod
     def cumulative(cls, i: int, n: int) -> "Monomial":
         """The cumulative product K_i as a monomial over n characteristics."""
         if not 0 <= i <= n:

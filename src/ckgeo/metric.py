@@ -219,6 +219,20 @@ def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
 
 
+def triangle_area(space: Space, tm: TriangleMeasurements) -> float:
+    """Native area, the value mc_volume estimates: with the exterior angle beta'
+    at B, (alpha + gamma - beta') / k1 when k1 != 0, else b c gsin(k2, alpha) / 2
+    (Herranz, Ortega, Santander, J. Phys. A 33 (2000) 4525)."""
+    if space.n != 2:
+        raise DimensionMismatch("triangle area applies to planar spaces")
+    if not tm.all_real():
+        raise DomainError("triangle area needs all measures real")
+    k1, k2 = space.sig
+    if k1 != 0:
+        return (tm.alpha.value + tm.gamma.value - tm.beta_prime.value) / k1
+    return 0.5 * tm.b.value * tm.c.value * gsin(k2, tm.alpha.value)
+
+
 # -- law registry ----------------------------------------------------------
 
 LAW_KEYS = tuple("eq%d" % i for i in range(13, 26))

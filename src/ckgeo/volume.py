@@ -40,12 +40,18 @@ power, the products and the quotient that form the scale add at most c + 3
 roundings of u each.  The floor is scale * (r c kappa + c + 3) * u; it is
 combined in quadrature with the binomial sampling error, so the reported
 stderr is never 0, even at a hit rate of 1.
+
+The sampling frame (G, g*, L, the scale and the rounding floor) depends on
+the simplex alone, so it is built once per simplex, on the first mc_volume
+call, and kept with it; later calls only sample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -101,6 +107,25 @@ class GeodesicSimplex:
     def matrix(self) -> np.ndarray:
         """Vertex coordinates as columns, shape (n+1, vertex count)."""
         return np.column_stack([v.coords for v in self.vertices])
+
+    @functools.cached_property
+    def _frame(self) -> Tuple[int, np.ndarray, float, float, float]:
+        """(count, G, L, scale, rounding floor), stored on first use.  An
+        unbounded cone raises DomainError, which is not stored."""
+        mat = self.matrix()
+        rows, count = mat.shape
+        gram = mat.T @ (self.space._Karr[:, None] * mat)
+        gram.flags.writeable = False
+        gstar = _min_gram_on_simplex(gram)
+        if gstar <= _EPS_NORM:
+            raise DomainError("cone is unbounded: the simplex reaches the null cone")
+        reach = 1.0 / math.sqrt(gstar)
+        R = np.linalg.qr(mat, mode="r")
+        span_volume = abs(float(np.prod(np.diag(R))))
+        scale = count * reach**count * span_volume / math.factorial(count)
+        kappa = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(R)))
+        rounding = scale * (rows * count * kappa + count + 3) * _UNIT_ROUNDOFF
+        return count, gram, reach, scale, rounding
 
 
 @dataclass(frozen=True)
@@ -241,28 +266,24 @@ def mc_volume(
     Deterministic for a given (samples, seed) pair: one pseudo-random stream
     consumed in fixed-size chunks, so the count of chunks never changes the
     draw sequence, and each sample is tested on its own row, so the chunk
-    size changes neither the hits nor the estimate.  Raises
-    DimensionMismatch when space is not the simplex's space and DomainError
-    when tol is negative.
+    size changes neither the hits nor the estimate.  Raises DomainError when
+    samples or seed is not an integer (bool counts as one), samples is below
+    1000, seed is negative or tol is negative, and DimensionMismatch when
+    space is not the simplex's space.
     """
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise DomainError("samples and seed must be integers, got %r, %r" % (samples, seed)) from None
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % (samples,))
+    if seed < 0:
+        raise DomainError("seed must be nonnegative, got %d" % (seed,))
     if space.sig != simplex.space.sig:
         raise DimensionMismatch("simplex belongs to a different space")
     if not tol >= 0.0:
         raise DomainError("tol must be nonnegative, got %r" % (tol,))
-    mat = simplex.matrix()
-    rows, count = mat.shape
-    gram = mat.T @ (space._Karr[:, None] * mat)
-    gstar = _min_gram_on_simplex(gram)
-    if gstar <= _EPS_NORM:
-        raise DomainError("cone is unbounded: the simplex reaches the null cone")
-    reach = 1.0 / math.sqrt(gstar)
-    R = np.linalg.qr(mat, mode="r")
-    span_volume = abs(float(np.prod(np.diag(R))))
-    scale = count * reach**count * span_volume / math.factorial(count)
-    kappa = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(R)))
-    rounding = scale * (rows * count * kappa + count + 3) * _UNIT_ROUNDOFF
+    count, gram, reach, scale, rounding = simplex._frame
 
     rng = np.random.default_rng(seed)
     hits = 0

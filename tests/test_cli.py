@@ -387,6 +387,32 @@ def test_too_few_samples_exit_code(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+VOL = ("volume", "--space", "ee", "--vertices")
+APPLY = ("transform", "--space", "ee", "--givens", "0,1,0.5", "--apply")
+BAD_PAYLOADS = [
+    (VOL + ('[[1,0,0],[0,1,0],["a",0,1]]',), 2, "usage"),
+    (VOL + ('[[1,0,0],{"a":1}]',), 2, "usage"),
+    (VOL + ("[[1,0,0],[0,1,0]]", "--seed", "-1"), 3, "DomainError"),
+    (("angle", "--space", "eee", "--x", '[[1,0,0,0],["a",1,0,0]]', "--y", "[[1,0,0,0]]"), 2, "usage"),
+    (("angle", "--space", "eee", "--x", "[[1,0,0,0],[0,1,0]]", "--y", "[[1,0,0,0]]"), 2, "usage"),
+    (("transform", "--space", "ee", "--validate", '[["a",0,0],[0,1,0],[0,0,1]]'), 2, "usage"),
+    (("transform", "--space", "ee", "--validate", "[[1,0,0],[0,1],[0,0,1]]"), 2, "usage"),
+    (APPLY + ('{"points": [[1,0,"x"]]}',), 2, "usage"),
+    (APPLY + ('{"planes": [[[1,0,"x"]]]}',), 2, "usage"),
+    (APPLY + ('{"points": 5}',), 2, "usage"),
+    (("transform", "--space", "ee", "--givens", "0,5,0.5"), 2, "usage"),
+    (("transform", "--space", "ee", "--givens", "1,0,0.5"), 2, "usage"),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_error", BAD_PAYLOADS)
+def test_bad_payloads_exit_with_one_json_error_line(capsys, argv, want_code, want_error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want_code, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["error"] == want_error
+
+
 def test_transform_mode_conflict(capsys):
     code, _, err = run(
         capsys, "transform", "--space", "ee", "--random", "1", "--givens", "0,1,0.5"

@@ -14,7 +14,9 @@ from ckgeo import (
     NoSolution,
     ProjPoint,
     Space,
+    Measure,
     Triangle,
+    TriangleMeasurements,
     angle,
     distance,
     identified_distance,
@@ -25,6 +27,7 @@ from ckgeo import (
     random_transform,
     right_triangle_residuals,
     solve_sas,
+    triangle_area,
     triangle_from_sas,
 )
 
@@ -233,6 +236,27 @@ def test_euclidean_345_triangle():
     assert tm.a.value == pytest.approx(5.0, rel=1e-12)
     assert tm.beta_prime.value == pytest.approx(math.acos(-0.6), rel=1e-12)
     assert tm.gamma.value == pytest.approx(math.acos(0.8), rel=1e-12)
+
+
+def test_triangle_area_closed_forms():
+    octant = measure_triangle(triangle_from_sas(EE, math.pi / 2, math.pi / 2, math.pi / 2))
+    assert triangle_area(EE, octant) == pytest.approx(math.pi / 2, rel=1e-12)
+    right = measure_triangle(triangle_from_sas(PE, 4.0, math.pi / 2, 3.0))
+    assert triangle_area(PE, right) == pytest.approx(6.0, rel=1e-12)
+    # hyperbolic: the angle defect pi - (alpha + beta + gamma), beta = pi - beta'
+    tm = measure_triangle(triangle_from_sas(HE, 1.0, 0.8, 1.2))
+    beta = math.pi - tm.beta_prime.value
+    defect = math.pi - (tm.alpha.value + beta + tm.gamma.value)
+    assert triangle_area(HE, tm) == pytest.approx(defect, rel=1e-12)
+
+
+def test_triangle_area_needs_real_measures_in_a_plane():
+    real = Measure(0.5, 1)
+    tm = TriangleMeasurements(real, real, real, real, Measure(0.5, 2, "imaginary"), real)
+    with pytest.raises(DomainError, match="all measures real"):
+        triangle_area(EE, tm)
+    with pytest.raises(DimensionMismatch):
+        triangle_area(Space("eee"), TriangleMeasurements(*[real] * 6))
 
 
 # -- law registry -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo volumes of geodesic simplexes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ckgeo import (
     DimensionMismatch,
     DomainError,
     GeodesicSimplex,
+    GeometryError,
     ProjPoint,
     Space,
     SingularBasis,
@@ -19,6 +21,7 @@ from ckgeo import (
     mc_volume,
     measure_triangle,
     random_transform,
+    triangle_area,
     triangle_from_sas,
 )
 
@@ -83,6 +86,15 @@ def test_simplex_vertex_count_bounds():
 def test_minimum_sample_count():
     with pytest.raises(DomainError):
         mc_volume(EE, octant(), 999, 1)
+
+
+def test_integer_like_arguments_are_accepted():
+    want = mc_volume(EE, octant(), 5000, 1)
+    for samples, seed in [(np.int64(5000), True), (5000, np.uint8(1))]:
+        got = mc_volume(EE, octant(), samples, seed)
+        assert (got.hits, got.value, got.stderr, got.samples, got.seed) == (
+            want.hits, want.value, want.stderr, 5000, 1
+        )
 
 
 @pytest.mark.parametrize("tol", [-1e-9, -1.0, math.nan])
@@ -191,6 +203,27 @@ def test_hyperbolic_triangle_matches_angle_defect():
     assert abs(est.value - want) <= 3.0 * est.stderr
 
 
+@pytest.mark.parametrize("sig", [k1 + k2 for k1 in "eph" for k2 in "eph"])
+def test_planar_estimates_match_the_exact_area(sig):
+    # draws that cannot be measured, or have an imaginary measure, are skipped
+    # until the quota is met: eh, ph and hh keep fewer than one in four
+    sp = Space(sig)
+    rng = random.Random("area " + sig)
+    found = 0
+    while found < 3:
+        b, c, alpha = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.2)
+        try:
+            tri = triangle_from_sas(sp, b, alpha, c)
+            tm = measure_triangle(tri)
+        except GeometryError:
+            continue
+        if not tm.all_real():
+            continue
+        found += 1
+        est = mc_volume(sp, GeodesicSimplex(sp, [tri.A, tri.B, tri.C]), 100_000, found)
+        assert abs(est.value - triangle_area(sp, tm)) <= 4.0 * est.stderr
+
+
 def test_unbounded_cone_is_rejected():
     # spherical-modulated signature whose second block is hyperbolic: two
     # points can subtend a cone that never leaves the unit shell
@@ -202,10 +235,10 @@ def test_unbounded_cone_is_rejected():
         mc_volume(sp, s, 10_000, 1)
 
 
-def test_mixed_sign_representatives_make_an_unbounded_cone():
+def mixed_sign_triangle():
     # in pe the form only sees the first coordinate, so opposite signs there
     # let mu^T G mu = (mu_0 - mu_1 + mu_2)^2 vanish along an unbounded ray
-    s = GeodesicSimplex(
+    return GeodesicSimplex(
         PE,
         [
             ProjPoint([1.0, 0.0, 0.0]),
@@ -213,8 +246,61 @@ def test_mixed_sign_representatives_make_an_unbounded_cone():
             ProjPoint([1.0, 0.0, 4.0]),
         ],
     )
-    with pytest.raises(DomainError, match="cone is unbounded"):
-        mc_volume(PE, s, 10_000, 1)
+
+
+def test_mixed_sign_representatives_make_an_unbounded_cone():
+    s = mixed_sign_triangle()
+    for seed in (1, 1, 2):
+        with pytest.raises(DomainError, match="cone is unbounded"):
+            mc_volume(PE, s, 10_000, seed)
+
+
+def count_min_gram_calls(monkeypatch):
+    calls = []
+    inner = volume_module._min_gram_on_simplex
+
+    def counted(G):
+        calls.append(G)
+        return inner(G)
+
+    monkeypatch.setattr(volume_module, "_min_gram_on_simplex", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, error, message",
+    [
+        ((PE, 999, 1), {}, DomainError, "at least 1000 samples"),
+        ((PE, 5000.0, 1), {}, DomainError, "samples and seed must be integers, got 5000.0, 1"),
+        ((PE, "5000", 1), {}, DomainError, "samples and seed must be integers, got '5000', 1"),
+        ((PE, 5000, 1.0), {}, DomainError, "samples and seed must be integers, got 5000, 1.0"),
+        ((PE, 5000, None), {}, DomainError, "samples and seed must be integers, got 5000, None"),
+        ((PE, 10_000, -1), {}, DomainError, "seed must be nonnegative"),
+        ((HE, 10_000, 1), {}, DimensionMismatch, "different space"),
+        ((PE, 10_000, 1), {"tol": -1.0}, DomainError, "tol must be nonnegative"),
+    ],
+)
+def test_arguments_are_checked_before_the_frame(monkeypatch, args, kwargs, error, message):
+    # the simplex's cone is unbounded, so building its frame would raise
+    calls = count_min_gram_calls(monkeypatch)
+    space, samples, seed = args
+    with pytest.raises(error, match=message):
+        mc_volume(space, mixed_sign_triangle(), samples, seed, **kwargs)
+    assert calls == []
+
+
+def test_frame_is_built_once_per_simplex(monkeypatch):
+    calls = count_min_gram_calls(monkeypatch)
+    first, second = octant(), octant()
+    for seed in (1, 2, 1):
+        mc_volume(EE, first, 5_000, seed)
+    assert len(calls) == 1
+    mc_volume(EE, second, 5_000, 1)
+    assert len(calls) == 2
+    count, gram, reach, scale, rounding = first._frame
+    assert count == 3 and not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 2.0
 
 
 def test_hits_do_not_depend_on_chunk_size(monkeypatch):
@@ -290,7 +376,8 @@ def test_estimates_match_the_reference_loop(monkeypatch, name, chunk):
     if chunk is not None:
         monkeypatch.setattr(volume_module, "_CHUNK", chunk)
     sp, simplex = REFERENCE_SIMPLEXES[name]()
-    for seed, samples in [(1, 2_345), (2, 5_001), (3, 140_001)]:
+    # the first call builds the simplex's frame and the later ones reuse it
+    for seed, samples in [(1, 2_345), (2, 5_001), (3, 140_001), (2, 5_001), (4, 3_003)]:
         est = mc_volume(sp, simplex, samples, seed)
         assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, samples, seed)
 
