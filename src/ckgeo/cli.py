@@ -155,7 +155,7 @@ def _cmd_volume(args) -> object:
         raise _UsageError("--vertices: expected a JSON array of points")
     points = [space.normalize(_floats(v, "--vertices")) for v in data]
     simplex = GeodesicSimplex(space, points)
-    return mc_volume(space, simplex, args.samples, args.seed).to_dict()
+    return mc_volume(space, simplex, args.samples, args.seed, args.tol).to_dict()
 
 
 def _cmd_transform(args) -> object:

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .entity import MPlane, ProjPoint, Space, _column_targets, _require_finite
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 from .gtrig import gcos, gsin
 
 # Seed for the deterministic sample used to validate matrices in degenerate
@@ -79,9 +79,11 @@ def givens(space: Space, i: int, j: int, t: float) -> GOrthoTransform:
 
     The block is [[C, -kind*S], [S, C]] with C, S the generalized cosine and
     sine of the block's kind, so it is circular, shearing, or boosting as the
-    signature dictates.
+    signature dictates.  A non-finite t raises DomainError.
     """
     kind = block_kind(space, i, j)
+    if not math.isfinite(t):
+        raise DomainError("givens parameter is %r, not a finite number" % (t,))
     c, s = gcos(kind, t), gsin(kind, t)
     mat = np.eye(space.n + 1)
     mat[i, i] = c
@@ -141,10 +143,12 @@ def apply_point(g: GOrthoTransform, x) -> ProjPoint:
 
     The representative sign is taken as-is (no re-canonicalization), since
     flipping signs after the fact would not commute with the group action.
+    A non-finite coordinate raises DomainError.
     """
     vec = x.coords if isinstance(x, ProjPoint) else np.asarray(x, dtype=float)
     if vec.shape != (g.space.n + 1,):
         raise DimensionMismatch("point has wrong coordinate count")
+    _require_finite(vec, "point coordinate")
     return ProjPoint(g.matrix @ vec)
 
 

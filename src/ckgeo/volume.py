@@ -16,13 +16,18 @@ and then a small squared norm forces a small coefficient sum, so both cuts
 agree.
 
 Sampling region.  Let g* be the minimum of mu^T G mu over the probability
-simplex.  Every cone point has mu^T G mu >= g* sum(mu)^2, so its
-coefficient sum is at most L = 1/sqrt(g*): the cone lies inside the linear
-simplex {mu >= 0, sum(mu) <= L}, whose ambient volume is
-L^c sqrt(det(M^T M)) / c! for c vertices.  Uniform points of it come from
-c + 1 standard exponentials, normalised to sum 1, the last one dropped and
-the rest scaled by L (Devroye, Non-Uniform Random Variate Generation, 1986,
-ch. 5).  When g* is not positive the cone touches the null cone and is
+simplex.  It is exact: the minimizer is a stationary point inside some
+face, so g* is the least of the faces' stationary values.  A face on whose
+affine hull the form is degenerate is skipped, since its stationary set, if
+it meets the face, reaches the face's boundary along a null direction, and
+that boundary point is stationary on a sub-face with the same value; by
+induction a smaller face, at worst a vertex, supplies it.  Every cone point
+has mu^T G mu >= g* sum(mu)^2, so its coefficient sum is at most
+L = 1/sqrt(g*): the cone lies inside the linear simplex
+{mu >= 0, sum(mu) <= L}, whose ambient volume is L^c sqrt(det(M^T M)) / c!
+for c vertices.  Uniform points of it come from c + 1 standard
+exponentials, normalised to sum 1, the last one dropped and the rest scaled
+by L (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 5).  When g* is not positive the cone touches the null cone and is
 unbounded; that is an error.  Where the first characteristic is zero and
 the vertex representatives share the sign of their first coordinate, G is
 the all-ones matrix, g* = 1, and the region is the cone itself: every sample
@@ -171,7 +176,12 @@ def _min_gram_on_simplex(G: np.ndarray) -> float:
     The minimizer lies in the relative interior of some face, where the
     restriction to the face's affine hull is stationary, so enumerating the
     stationary value of every face (singletons are their own faces) covers
-    the true minimum.
+    the true minimum.  A face whose reduced Hessian is rank-deficient is
+    skipped: the form is constant on its stationary set, and if that set
+    meets the face, a null direction (its weights sum to 0) leads from the
+    meeting point to the face's boundary without leaving the set.  That
+    boundary point is stationary on its sub-face too, so by induction down
+    to the vertices a smaller face supplies the same value.
     """
     size = G.shape[0]
     best = min(float(G[i, i]) for i in range(size))
@@ -184,14 +194,11 @@ def _min_gram_on_simplex(G: np.ndarray) -> float:
 
 
 def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
-    """Stationary value of the form on a face's sum-one affine hull.
+    """Stationary value of the form on a face's sum-one affine hull, or None.
 
-    Returns None when the restriction has no stationary point (the minimum
-    then sits on the boundary, which the sub-faces cover) or when the
-    stationary set provably misses the nonnegative weights.  Reducing onto
-    the hull keeps singular Gram blocks honest: the form is constant along
-    null directions of the reduced Hessian, so the stationary value is
-    unique whenever it exists.
+    None when the reduced Hessian is rank-deficient (the sub-faces supply
+    any stationary value the face has; see _min_gram_on_simplex) or when the
+    unique stationary point has a weight below -1e-12, outside the face.
     """
     r = sub.shape[0]
     Z = np.zeros((r, r - 1))
@@ -200,33 +207,11 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     e1 = np.zeros(r)
     e1[0] = 1.0
     H = Z.T @ sub @ Z
-    rhs = -Z.T @ (sub @ e1)
-    t = np.linalg.lstsq(H, rhs, rcond=None)[0]
-    scale = max(1.0, float(np.abs(H).max()), float(np.abs(rhs).max()))
-    if float(np.linalg.norm(H @ t - rhs)) > 1e-9 * scale:
+    t, _, rank, _ = np.linalg.lstsq(H, -Z.T @ (sub @ e1), rcond=None)
+    if rank < r - 1:
         return None
     mu = e1 + Z @ t
-    value = float(mu @ sub @ mu)
-    if (mu >= -1e-12).all():
-        return value
-    eigvals, eigvecs = np.linalg.eigh(H)
-    null_cols = np.abs(eigvals) <= 1e-10 * max(1.0, float(np.abs(eigvals).max()))
-    null_dirs = [Z @ eigvecs[:, i] for i in np.flatnonzero(null_cols)]
-    if not null_dirs:
-        return None  # unique stationary point, outside the face
-    if len(null_dirs) > 1:
-        return value  # conservative: a smaller candidate only widens the region
-    d = null_dirs[0]
-    lo, hi = -math.inf, math.inf
-    for mi, di in zip(mu, d):
-        if abs(di) <= 1e-14:
-            if mi < -1e-12:
-                return None
-        elif di > 0.0:
-            lo = max(lo, -mi / di)
-        else:
-            hi = min(hi, -mi / di)
-    return value if lo <= hi else None
+    return float(mu @ sub @ mu) if (mu >= -1e-12).all() else None
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

@@ -19,10 +19,15 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _reject_constant(token):
+    raise ValueError("stdout holds %s, which is not valid JSON" % token)
+
+
 def run_json(capsys, *argv):
+    """Exit code 0 and stdout parsed as strict JSON: NaN and +-Infinity fail."""
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 # -- dist ---------------------------------------------------------------------
@@ -402,6 +407,11 @@ BAD_PAYLOADS = [
     (APPLY + ('{"points": 5}',), 2, "usage"),
     (("transform", "--space", "ee", "--givens", "0,5,0.5"), 2, "usage"),
     (("transform", "--space", "ee", "--givens", "1,0,0.5"), 2, "usage"),
+    (VOL + ("[[1,0,0],[0,1,0]]", "--tol", "-1"), 3, "DomainError"),
+    (("transform", "--space", "ee", "--givens", "0,1,nan"), 3, "DomainError"),
+    (("transform", "--space", "ee", "--givens", "0,1,inf"), 3, "DomainError"),
+    (("transform", "--space", "he", "--givens", "0,1,inf"), 3, "DomainError"),
+    (APPLY + ('{"points": [[NaN,0,1]]}',), 3, "DomainError"),
 ]
 
 

@@ -280,6 +280,16 @@ def test_sampled_validation_draws_once_per_dimension(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sig", ["ee", "pe", "he"])
+def test_non_finite_parameters_and_points_are_rejected(sig, bad):
+    sp = Space(sig)
+    with pytest.raises(DomainError, match=r"^givens parameter is %r, not a finite number$" % bad):
+        givens(sp, 0, 1, bad)
+    with pytest.raises(DomainError, match=r"^point coordinate \(1,\) is %r, not a finite number$" % bad):
+        apply_point(givens(sp, 0, 1, 0.5), [1.0, bad, 0.0])
+
+
 def test_validate_shape_error():
     with pytest.raises(DimensionMismatch):
         validate(Space("ee"), np.eye(4))

@@ -1,5 +1,6 @@
 """Monte Carlo volumes of geodesic simplexes."""
 
+import itertools
 import math
 import random
 
@@ -253,6 +254,59 @@ def test_mixed_sign_representatives_make_an_unbounded_cone():
     for seed in (1, 1, 2):
         with pytest.raises(DomainError, match="cone is unbounded"):
             mc_volume(PE, s, 10_000, seed)
+
+
+@pytest.mark.parametrize("k1", [1, -1])
+@pytest.mark.parametrize("k3, k4", list(itertools.product((-1, 0, 1), repeat=2)))
+def test_bounded_simplexes_with_a_rank_two_gram_form(k1, k3, k4):
+    # With k2 = 0 only the first two coordinates enter G, which then has rank
+    # 2: each vertex is (cos t, sin t) or (cosh t, sinh t) followed by free
+    # coordinates.  g* is cos^2 of half the widest angle for k1 = 1 (the chord
+    # between the extreme points) and 1 for k1 = -1 (the vertices themselves).
+    sp = Space((k1, 0, k3, k4))
+    rng = np.random.default_rng([k1 + 1, k3 + 1, k4 + 1])
+    for seed in range(4):
+        t = rng.uniform(-0.4, 0.4, 5)
+        first = np.column_stack([np.cos(t), np.sin(t)] if k1 == 1 else [np.cosh(t), np.sinh(t)])
+        simplex = GeodesicSimplex(sp, [ProjPoint(v) for v in np.hstack([first, rng.normal(size=(5, 3))])])
+        est = mc_volume(sp, simplex, 1_000, seed)
+        assert est.samples == 1_000 and est.value > 0.0
+        want = math.cos((t.max() - t.min()) / 2.0) ** 2 if k1 == 1 else 1.0
+        assert simplex._frame[2] ** -2 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _barycentric_grid(size, m):
+    """Every point of the probability simplex in R^size with weights in (1/m)Z."""
+    # stars and bars: m stars and size - 1 bars in m + size - 1 slots
+    bars = np.array(list(itertools.combinations(range(m + size - 1), size - 1)), dtype=int)
+    ends = np.ones((len(bars), 1), dtype=int)
+    return (np.diff(np.hstack([-ends, bars, (m + size - 1) * ends]), axis=1) - 1) / m
+
+
+def test_min_gram_is_at_most_the_grid_minimum():
+    # Integer Gram forms M^T K M of up to 4 columns in every signature with
+    # n <= 3 (rank-deficient whenever K has a zero or M has more columns than
+    # rows), and random symmetric matrices; no face may be skipped that holds
+    # the minimum.
+    rng = np.random.default_rng(8)
+    forms = []
+    for n in (1, 2, 3):
+        for sig in itertools.product((-1, 0, 1), repeat=n):
+            K = Space(sig)._Karr
+            for size in (2, 3, 4):
+                for _ in range(2):
+                    M = rng.integers(-2, 3, size=(n + 1, size)).astype(float)
+                    forms.append(M.T @ (K[:, None] * M))
+    for size in (1, 2, 3, 4):
+        for _ in range(10):
+            A = rng.normal(size=(size, size))
+            forms.append(A + A.T)
+    grids = {size: _barycentric_grid(size, 24) for size in (1, 2, 3, 4)}
+    for G in forms:
+        mu = grids[G.shape[0]]
+        grid_min = float(np.einsum("ij,jk,ik->i", mu, G, mu).min())
+        slack = 1e-12 * max(1.0, float(np.abs(G).max()))
+        assert volume_module._min_gram_on_simplex(G) <= grid_min + slack, G
 
 
 def count_min_gram_calls(monkeypatch):
