@@ -96,7 +96,7 @@ def _cmd_dist(args) -> object:
         raise _UsageError("dist needs --p and --q (or --pairs FILE)")
     x = _point(space, args.p, "--p")
     y = _point(space, args.q, "--q")
-    return distance(space, x, y, args.tol).to_dict()
+    return distance(space, x, y).to_dict()
 
 
 def _dist_bulk(space: Space, args) -> object:
@@ -125,7 +125,7 @@ def _dist_bulk(space: Space, args) -> object:
             break
     # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
     points = space.normalize(np.array(values, dtype=float).reshape(-1, space.n + 1))
-    out = [m.to_dict() for m in distance(space, points[0::2], points[1::2], args.tol)]
+    out = [m.to_dict() for m in distance(space, points[0::2], points[1::2])]
     if malformed is not None:
         raise malformed
     return out
@@ -135,13 +135,13 @@ def _cmd_angle(args) -> object:
     space = _space(args)
     X = _plane(space, _load_json_arg(args.x, "--x"), "--x")
     Y = _plane(space, _load_json_arg(args.y, "--y"), "--y")
-    return angle(space, X, Y, args.tol).to_dict()
+    return angle(space, X, Y).to_dict()
 
 
 def _cmd_triangle(args) -> object:
     space = _space(args)
     tri = triangle_from_sas(space, args.b, args.alpha, args.c)
-    tm = measure_triangle(tri, args.tol)
+    tm = measure_triangle(tri)
     payload = {"measurements": tm.to_dict()}
     if args.laws:
         payload.update(law_residuals(space, tm).to_dict())
@@ -155,7 +155,7 @@ def _cmd_volume(args) -> object:
         raise _UsageError("--vertices: expected a JSON array of points")
     points = [space.normalize(_floats(v, "--vertices")) for v in data]
     simplex = GeodesicSimplex(space, points)
-    return mc_volume(space, simplex, args.samples, args.seed, args.tol).to_dict()
+    return mc_volume(space, simplex, args.samples, args.seed).to_dict()
 
 
 def _cmd_transform(args) -> object:
@@ -168,7 +168,7 @@ def _cmd_transform(args) -> object:
         side = space.n + 1
         if mat.size != side * side:
             raise _UsageError("--validate: matrix needs %d entries" % (side * side,))
-        return validate(space, mat.reshape(side, side), args.tol).to_dict()
+        return validate(space, mat.reshape(side, side)).to_dict()
     if args.random is not None:
         g = random_transform(space, args.random)
     else:
@@ -209,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--space", required=True, help="signature, e.g. '0,1' or 'pe'")
-        p.add_argument("--tol", type=float, default=1e-9)
 
     p_dist = sub.add_parser("dist", help="distance between two points")
     common(p_dist)

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from . import kernel
+from . import kernel, tolerance
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -88,7 +88,7 @@ class MPlane:
 
     __slots__ = ("space", "cols", "_minors")
 
-    def __init__(self, space: "Space", cols, validate: bool = True, tol: float = 1e-8):
+    def __init__(self, space: "Space", cols, validate: bool = True):
         arr = np.array(cols, dtype=float)
         if arr.ndim < 2 or (validate and arr.ndim != 2) or arr.shape[-2] != space.n + 1:
             raise DimensionMismatch(
@@ -104,7 +104,7 @@ class MPlane:
         object.__setattr__(self, "cols", arr)
         object.__setattr__(self, "_minors", None)
         if validate:
-            space._check_plane_columns(self, tol)
+            space._check_plane_columns(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPlane is immutable")
@@ -203,17 +203,18 @@ class Space:
         """
         return _scalar(self._point_products(x, y)[1])
 
-    def normalize(self, raw, tol: float = 1e-12):
+    def normalize(self, raw):
         """Scale a raw vector onto the unit shell with a canonical sign.
 
         Raises DomainError when a coordinate is not finite, OnAbsolute when
-        the self-product vanishes (within tol, relative to the absolute term
-        sizes) and NegativeNorm when it is negative.  The representative is
-        fixed so its first significant coordinate is > 0.  A vector with a
-        coordinate above 1e150 in magnitude is divided by its largest one
-        before squaring, and an error reports that vector's self-product.  A
-        stack of vectors (any leading axes) gives a read-only array of unit
-        rows, or the error of its first bad row.
+        the self-product vanishes (within tolerance.ABSOLUTE, relative to the
+        absolute term sizes) and NegativeNorm when it is negative.  The
+        representative is fixed so its first significant coordinate is > 0.
+        A vector with a coordinate above tolerance.ENTRY_LIMIT in magnitude
+        is divided by its largest one before squaring, and an error reports
+        that vector's self-product.  A stack of vectors (any leading axes)
+        gives a read-only array of unit rows, or the error of its first bad
+        row.
         """
         arr = self._vec(raw)
         points = rows = arr.reshape(-1, self.n + 1)
@@ -222,18 +223,18 @@ class Space:
             rows = np.where(np.isfinite(points).all(axis=1, keepdims=True), points, 0.0)
         mags = np.abs(rows)
         peak = mags.max(axis=1, keepdims=True)
-        huge = peak > 1e150
+        huge = peak > tolerance.ENTRY_LIMIT
         if huge.any():
             # Their squares would overflow: such rows are measured divided by their peak.
             rows = rows / np.where(huge, peak, 1.0)
         q, scale = np.vecmat(rows * rows, self._norm_weights).T
-        limit = tol * np.maximum(1.0, scale)
+        limit = tolerance.ABSOLUTE * np.maximum(1.0, scale)
         bad = q <= limit
         if bad.any():
             first = int(bad.argmax())
             raise _norm_error(points[first], float(q[first]), float(limit[first]))
-        # Canonical sign: the first coordinate above 1e-12 of the peak is > 0.
-        lead = (mags > 1e-12 * peak).argmax(axis=1)
+        # Canonical sign: the first coordinate above SIGN_CUT of the peak is > 0.
+        lead = (mags > tolerance.SIGN_CUT * peak).argmax(axis=1)
         sign = np.where(rows[np.arange(len(rows)), lead] < 0.0, -1.0, 1.0)
         unit = rows / (sign * np.sqrt(q))[:, None]
         if arr.ndim == 1:
@@ -244,10 +245,7 @@ class Space:
 
     # -- planes ---------------------------------------------------------
 
-    def plane(self, cols, validate: bool = True, tol: float = 1e-8) -> MPlane:
-        return MPlane(self, cols, validate=validate, tol=tol)
-
-    def _check_plane_columns(self, plane: MPlane, tol: float) -> None:
+    def _check_plane_columns(self, plane: MPlane) -> None:
         """Necessary validity checks for plane columns.
 
         Verifies the pairwise column products c_i (.) c_j = K_i delta_ij and
@@ -262,7 +260,7 @@ class Space:
         want, upper = _column_targets(self.sig, plane.m)
         peak = np.abs(cols).max(axis=1)
         mag = peak[:, None] * peak[None, :]
-        bad = upper & (np.abs(got - want) > tol * np.maximum(1.0, mag * mag))
+        bad = upper & (np.abs(got - want) > tolerance.PLANE_COLUMNS * np.maximum(1.0, mag * mag))
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             raise DimensionMismatch(
@@ -270,7 +268,7 @@ class Space:
                 % (i, j, float(got[i, j]), self.K[i] if i == j else 0.0)
             )
         unit = self.dot_planes(plane, plane)
-        if abs(unit - 1.0) > tol * max(1.0, abs(unit)):
+        if abs(unit - 1.0) > tolerance.PLANE_COLUMNS * max(1.0, abs(unit)):
             raise DimensionMismatch(
                 "plane self-product is %r, expected 1 (bad column scale?)" % (unit,)
             )
@@ -359,11 +357,11 @@ def _scalar(value):
 def _root(rad, term_scale):
     """The square roots of cross radicands, snapped to 0 within roundoff.
 
-    The snap window is 1e-12 of the term scale (at least 1e-12).  The
+    The snap window is ROOT_SNAP of the term scale (at least ROOT_SNAP).  The
     result is a complex array: real entries for real cross products,
     imaginary ones (the magnitude times 1j) where the radicand is negative.
     """
-    snap = (rad < 0.0) & (rad >= -1e-12 * np.maximum(1.0, term_scale))
+    snap = (rad < 0.0) & (rad >= -tolerance.ROOT_SNAP * np.maximum(1.0, term_scale))
     # Adding 0j turns -0.0 into +0.0; the complex root of a negative x is +0 + sqrt(-x)j.
     return np.sqrt(np.where(snap, 0.0, rad) + 0j)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from . import tolerance
 from .errors import DomainError, InconsistentPair, PoleError
 
 
@@ -61,7 +62,7 @@ def _tan(k: int, x: float, c: float, s: float) -> float:
     return s / c
 
 
-def gmeasure_from_cs(k: int, c: float, s: float, tol: float = 1e-9) -> float:
+def gmeasure_from_cs(k: int, c: float, s: float, tol: float = tolerance.PAIR) -> float:
     """Recover x >= 0 from c = gcos(k, x) and s = gsin(k, x) with s >= 0.
 
     The pair must satisfy c*c + k*s*s == 1 within tol (relative to the size

@@ -26,7 +26,8 @@ from typing import Dict
 
 import numpy as np
 
-from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _scalar
+from . import tolerance
+from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _require_finite, _scalar
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -50,7 +51,7 @@ class Measure:
         return {"phi": self.value, "level": self.level, "kind": self.kind}
 
 
-def _measure_pair(k: int, c, s, level: int, tol: float):
+def _measure_pair(k: int, c, s, level: int):
     """Measure each row of a product stack through the scalar inverter.
 
     c and s are the arrays of Space._point_products or _plane_products; a
@@ -60,22 +61,22 @@ def _measure_pair(k: int, c, s, level: int, tol: float):
     measures = []
     for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist()):
         if sv.imag:
-            measures.append(Measure(gmeasure_from_cs(-k, abs(cv), sv.imag, tol), level, "imaginary"))
+            measures.append(Measure(gmeasure_from_cs(-k, abs(cv), sv.imag), level, "imaginary"))
         else:
-            measures.append(Measure(gmeasure_from_cs(k, cv, sv.real, tol), level, "real"))
+            measures.append(Measure(gmeasure_from_cs(k, cv, sv.real), level, "real"))
     return measures if np.ndim(s) else measures[0]
 
 
-def distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9):
+def distance(space: Space, x: ProjPoint, y: ProjPoint):
     """Level-1 measure between unit points.
 
     On two (N, n+1) stacks of unit points it gives the list of the N
     row-wise measures; the first pair that cannot be measured raises.
     """
-    return _measure_pair(space.sig[0], *space._point_products(x, y), 1, tol)
+    return _measure_pair(space.sig[0], *space._point_products(x, y), 1)
 
 
-def identified_distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1e-9) -> float:
+def identified_distance(space: Space, x: ProjPoint, y: ProjPoint) -> float:
     """Distance after antipodal identification; only defined when k_1 = 1.
 
     The primary distance lives on the double cover (representatives, not
@@ -83,37 +84,37 @@ def identified_distance(space: Space, x: ProjPoint, y: ProjPoint, tol: float = 1
     """
     if space.sig[0] != 1:
         raise DomainError("antipodal identification needs k_1 = 1")
-    phi = distance(space, x, y, tol).value
+    phi = distance(space, x, y).value
     return min(phi, math.pi - phi)
 
 
-def angle(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9):
+def angle(space: Space, X: MPlane, Y: MPlane):
     """Level-(m+1) measure between two m-planes; the list of row-wise
     measures when X and Y hold stacks of planes."""
-    return _measure_pair(space.sig[X.m], *space._plane_products(X, Y), X.m + 1, tol)
+    return _measure_pair(space.sig[X.m], *space._plane_products(X, Y), X.m + 1)
 
 
-def _same_span(X: MPlane, Y: MPlane, tol: float) -> bool:
+def _same_span(X: MPlane, Y: MPlane) -> bool:
     mx, my = X.minor_vector(), Y.minor_vector()
     nx, ny = float(np.linalg.norm(mx)), float(np.linalg.norm(my))
     if nx == 0.0 or ny == 0.0:
         return False
     a, b = mx / nx, my / ny
-    return bool(min(np.abs(a - b).max(), np.abs(a + b).max()) <= tol)
+    return bool(min(np.abs(a - b).max(), np.abs(a + b).max()) <= tolerance.FLAT)
 
 
-def is_parallel(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9) -> bool:
+def is_parallel(space: Space, X: MPlane, Y: MPlane) -> bool:
     """True when the cross product vanishes but the spans differ."""
     space._check_pair(X, Y)
     s = space.cross_planes(X, Y)
     mag = s.magnitude if isinstance(s, Imaginary) else s
-    return mag <= tol and not _same_span(X, Y, tol)
+    return mag <= tolerance.FLAT and not _same_span(X, Y)
 
 
-def is_orthogonal(space: Space, X: MPlane, Y: MPlane, tol: float = 1e-9) -> bool:
+def is_orthogonal(space: Space, X: MPlane, Y: MPlane) -> bool:
     """True when the dot product vanishes."""
     space._check_pair(X, Y)
-    return abs(space.dot_planes(X, Y)) <= tol
+    return abs(space.dot_planes(X, Y)) <= tolerance.FLAT
 
 
 # -- triangles ------------------------------------------------------------
@@ -174,7 +175,9 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
 
     B is the base point moved distance c along the first coordinate geodesic;
     C is moved distance b along the same geodesic and then rotated by alpha
-    around A in the (1, 2) block.
+    around A in the (1, 2) block.  A coordinate of B (row 0) or C (row 1)
+    above tolerance.ENTRY_LIMIT in magnitude raises DomainError naming it,
+    before any product is formed.
     """
     if space.n != 2:
         raise DimensionMismatch("SAS construction needs a planar space")
@@ -183,18 +186,21 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
     A = ProjPoint(base)
     B = apply_point(givens(space, 0, 1, c), A)
     C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
+    # The plain-float test (false for NaN) costs a fifth of _require_finite, which names the entry.
+    if not all(abs(v) <= tolerance.ENTRY_LIMIT for v in [*B.coords.tolist(), *C.coords.tolist()]):
+        _require_finite(np.array([B.coords, C.coords]), "vertex coordinate", tolerance.ENTRY_LIMIT)
     return Triangle(space, A, B, C)
 
 
-def _ray_angles(space: Space, vertices, u, v, tol: float) -> list:
+def _ray_angles(space: Space, vertices, u, v) -> list:
     """Angles between the rays (vertex, u) and (vertex, v) of each row, as
     one stack of lines; the first pair that cannot be measured raises."""
     X = MPlane(space, np.stack([vertices, u], axis=-1), validate=False)
     Y = MPlane(space, np.stack([vertices, v], axis=-1), validate=False)
-    return angle(space, X, Y, tol)
+    return angle(space, X, Y)
 
 
-def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
+def measure_triangle(tri: Triangle) -> TriangleMeasurements:
     """Measure the three sides and the alpha, beta', gamma angles.
 
     Sides are level-1 measures (real by the Triangle invariant).  Angles are
@@ -209,12 +215,12 @@ def measure_triangle(tri: Triangle, tol: float = 1e-9) -> TriangleMeasurements:
     # (A, B) are the sides a, b, c, and all six give the rays.
     x, y = np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
     dots, roots = sp._point_products(x, y)
-    a, b, c = _measure_pair(sp.sig[0], dots[[3, 1, 0]], roots[[3, 1, 0]], 1, tol)
+    a, b, c = _measure_pair(sp.sig[0], dots[[3, 1, 0]], roots[[3, 1, 0]], 1)
     # The Triangle invariant keeps every ray real.
     to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = _direction(x, y, dots, roots)
     # Exterior convention at B: continue the AB geodesic past B.
     alpha, beta_prime, gamma = _ray_angles(
-        sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2]), tol
+        sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2])
     )
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
 
@@ -311,7 +317,7 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
 
     def record(key: str, printed: float, corrected: float) -> None:
         variant_values[key] = {"as-printed": printed, "corrected": corrected}
-        if math.isclose(printed, corrected, rel_tol=1e-12, abs_tol=1e-15):
+        if math.isclose(printed, corrected, rel_tol=tolerance.TIE_REL, abs_tol=tolerance.TIE_ABS):
             variants[key] = "tie"
         else:
             variants[key] = "as-printed" if printed < corrected else "corrected"
@@ -381,7 +387,7 @@ class RightTriangleReport:
         }
 
 
-def right_triangle_residuals(space: Space, a: float, b: float, tol: float = 1e-9) -> RightTriangleReport:
+def right_triangle_residuals(space: Space, a: float, b: float) -> RightTriangleReport:
     """Build legs a, b at a right angle (needs k_2 = 1) and check the identities.
 
     The right-angle vertex sits at the base point with the legs along the two
@@ -400,10 +406,10 @@ def right_triangle_residuals(space: Space, a: float, b: float, tol: float = 1e-9
     V_A = apply_point(givens(space, 0, 1, b), V_C)
     V_B = apply_point(givens(space, 0, 2, a), V_C)
 
-    c = distance(space, V_A, V_B, tol).value
+    c = distance(space, V_A, V_B).value
     u = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_C.coords, V_C.coords]))
     v = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_B.coords, V_A.coords]))
-    alpha, beta = _ray_angles(space, np.array([V_A.coords, V_B.coords]), u, v, tol)
+    alpha, beta = _ray_angles(space, np.array([V_A.coords, V_B.coords]), u, v)
     if alpha.kind != "real" or beta.kind != "real":
         raise DomainError("right triangle angles came back imaginary")
     al, be = alpha.value, beta.value
@@ -428,15 +434,15 @@ def right_triangle_residuals(space: Space, a: float, b: float, tol: float = 1e-9
     r["eq34"] = _rel(cos_be, Cb * sin_al)
     r["eq35"] = _rel(Cc, (cos_al / sin_al) * (cos_be / sin_be))
 
-    meas_a = distance(space, V_C, V_B, tol).value
-    meas_b = distance(space, V_C, V_A, tol).value
+    meas_a = distance(space, V_C, V_B).value
+    meas_b = distance(space, V_C, V_A).value
     return RightTriangleReport(meas_a, meas_b, c, al, be, r)
 
 
 # -- SAS solver --------------------------------------------------------------
 
 
-def solve_sas(space: Space, b: float, alpha: float, c: float, tol: float = 1e-9) -> TriangleMeasurements:
+def solve_sas(space: Space, b: float, alpha: float, c: float) -> TriangleMeasurements:
     """Solve a planar triangle from sides b, c and the included angle alpha.
 
     Works entirely through the law registry: the side cosine relation when
@@ -453,7 +459,7 @@ def solve_sas(space: Space, b: float, alpha: float, c: float, tol: float = 1e-9)
     try:
         if k1 != 0:
             C1b, C1c, S1b, S1c = gcos(k1, b), gcos(k1, c), gsin(k1, b), gsin(k1, c)
-            a = _invert_c(k1, C1b * C1c + k1 * S1b * S1c * C2al, tol)
+            a = _invert_c(k1, C1b * C1c + k1 * S1b * S1c * C2al)
         else:
             rad = b * b + c * c - 2.0 * b * c * C2al
             if rad < 0.0:
@@ -474,9 +480,8 @@ def solve_sas(space: Space, b: float, alpha: float, c: float, tol: float = 1e-9)
             C2ga = (a * a + b * b - c * c) / (2.0 * a * b)
         # Derived pairs accumulate cancellation error; loosen only the
         # consistency check, never the sign/range rules.
-        pair_tol = 100.0 * tol
-        beta_prime = gmeasure_from_cs(k2, C2bp, S2bp, pair_tol)
-        gamma = gmeasure_from_cs(k2, C2ga, S2ga, pair_tol)
+        beta_prime = gmeasure_from_cs(k2, C2bp, S2bp, tolerance.DERIVED_PAIR)
+        gamma = gmeasure_from_cs(k2, C2ga, S2ga, tolerance.DERIVED_PAIR)
     except (InconsistentPair, DomainError) as exc:
         raise NoSolution("triangle relations have no consistent solution: %s" % exc) from exc
 
@@ -490,12 +495,12 @@ def solve_sas(space: Space, b: float, alpha: float, c: float, tol: float = 1e-9)
     )
 
 
-def _invert_c(k: int, cval: float, tol: float) -> float:
+def _invert_c(k: int, cval: float) -> float:
     """Invert a cosine-like value to its measure, checking the range."""
     if k == 1:
-        if abs(cval) > 1.0 + tol:
+        if abs(cval) > 1.0 + tolerance.SAS_RANGE:
             raise NoSolution("cosine value %r outside [-1, 1]" % (cval,))
         return math.acos(max(-1.0, min(1.0, cval)))
-    if cval < 1.0 - tol:
+    if cval < 1.0 - tolerance.SAS_RANGE:
         raise NoSolution("hyperbolic cosine value %r below 1" % (cval,))
     return math.acosh(max(1.0, cval))

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import tolerance
 from .entity import MPlane, ProjPoint, Space, _column_targets, _require_finite
 from .errors import DimensionMismatch, DomainError
 from .gtrig import gcos, gsin
@@ -25,9 +26,6 @@ from .gtrig import gcos, gsin
 # signatures; fixed so validation reports are reproducible.
 _SAMPLE_SEED = 1729
 _SAMPLE_PAIRS = 32
-# Largest matrix entry validate accepts: the squares of entries up to it, and
-# sums of a few of them, stay finite.
-_ENTRY_LIMIT = 1e150
 
 Generator = Tuple  # ("givens", i, j, t) or ("reflect", axis)
 
@@ -195,7 +193,7 @@ class ValidationReport:
         }
 
 
-def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
+def validate(space: Space, matrix) -> ValidationReport:
     """Check whether a matrix is a generalized orthogonal transform.
 
     With no vanishing cumulative product the column relations
@@ -203,13 +201,13 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     In degenerate signatures those relations underdetermine the group, so the
     weak column relations are combined with preservation of point dot and
     cross products on a fixed seeded sample of raw vector pairs.  A
-    non-finite entry, or else one above 1e150 in magnitude, raises
-    DomainError naming its index, before any product is formed.
+    non-finite entry, or else one above tolerance.ENTRY_LIMIT in magnitude,
+    raises DomainError naming its index, before any product is formed.
     """
     mat = np.array(matrix, dtype=float)
     if mat.shape != (space.n + 1, space.n + 1):
         raise DimensionMismatch("matrix must be (n+1) x (n+1)")
-    _require_finite(mat, "matrix entry", _ENTRY_LIMIT)
+    _require_finite(mat, "matrix entry", tolerance.ENTRY_LIMIT)
     degenerate = any(K == 0 for K in space.K)
     checks: List[Tuple[str, float]] = []
 
@@ -230,7 +228,7 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
         det_resid = abs(abs(float(np.linalg.det(mat))) - 1.0)
         checks.append(("determinant", det_resid))
         worst = max(worst_cols, det_resid)
-        return ValidationReport(worst <= tol, "direct", worst, tuple(checks))
+        return ValidationReport(worst <= tolerance.ISOMETRY, "direct", worst, tuple(checks))
 
     x, y = _sample_pairs(space.n + 1)
     gx, gy = x @ mat.T, y @ mat.T
@@ -243,7 +241,7 @@ def validate(space: Space, matrix, tol: float = 1e-9) -> ValidationReport:
     checks.append(("sampled_dot", worst_dot))
     checks.append(("sampled_cross", worst_cross))
     worst = max(worst_cols, worst_dot, worst_cross)
-    return ValidationReport(worst <= tol, "sampled", worst, tuple(checks))
+    return ValidationReport(worst <= tolerance.ISOMETRY, "sampled", worst, tuple(checks))
 
 
 @lru_cache(maxsize=None)

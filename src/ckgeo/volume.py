@@ -11,9 +11,9 @@ columns of M and G = M^T K M their Gram form.  p lies in the cone when
 mu >= 0 and p is inside the unit shell, mu^T G mu <= 1.  Where the squared
 norm is not positive (possible in degenerate and indefinite signatures)
 cone_contains falls back to the coefficient sum, which plays the role of the
-ray parameter.  mc_volume needs no fallback: it requires g* > 1e-12 (below),
-and then a small squared norm forces a small coefficient sum, so both cuts
-agree.
+ray parameter.  mc_volume needs no fallback: it requires
+g* > tolerance.NORM_FLOOR = 1e-12 (below), and then a small squared norm
+forces a small coefficient sum, so both cuts agree.
 
 Sampling region.  Let g* be the minimum of mu^T G mu over the probability
 simplex.  It is exact: the minimizer is a stationary point inside some
@@ -62,11 +62,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import tolerance
 from .entity import ProjPoint, Space
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
 _CHUNK = 1 << 17
-_EPS_NORM = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -81,12 +81,12 @@ class GeodesicSimplex:
     space: Space
     vertices: Tuple[ProjPoint, ...]
 
-    def __init__(self, space: Space, vertices: Sequence[ProjPoint], tol: float = 1e-9):
+    def __init__(self, space: Space, vertices: Sequence[ProjPoint]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "vertices", tuple(vertices))
-        self._validate(tol)
+        self._validate()
 
-    def _validate(self, tol: float) -> None:
+    def _validate(self) -> None:
         n = self.space.n
         if not 2 <= len(self.vertices) <= n + 1:
             raise DimensionMismatch(
@@ -96,11 +96,11 @@ class GeodesicSimplex:
             if v.n != n:
                 raise DimensionMismatch("vertex dimension %d does not match space" % v.n)
             q = self.space.dot_points(v, v)
-            if abs(q - 1.0) > tol * max(1.0, abs(q)):
+            if abs(q - 1.0) > tolerance.CONE * max(1.0, abs(q)):
                 raise DomainError("vertex is not a unit point (self dot %r)" % (q,))
         mat = self.matrix()
         svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[-1] <= _EPS_NORM * max(1.0, svals[0]):
+        if svals[-1] <= tolerance.NORM_FLOOR * max(1.0, svals[0]):
             raise SingularBasis("simplex vertices are numerically dependent")
         # Pairs i < j in row order, as a pairwise loop meets them.
         i, j = np.nonzero(~np.tri(len(self.vertices), dtype=bool))
@@ -122,7 +122,7 @@ class GeodesicSimplex:
         gram = mat.T @ (self.space._Karr[:, None] * mat)
         gram.flags.writeable = False
         gstar = _min_gram_on_simplex(gram)
-        if gstar <= _EPS_NORM:
+        if gstar <= tolerance.NORM_FLOOR:
             raise DomainError("cone is unbounded: the simplex reaches the null cone")
         reach = 1.0 / math.sqrt(gstar)
         R = np.linalg.qr(mat, mode="r")
@@ -150,7 +150,7 @@ class VolumeEstimate:
         }
 
 
-def cone_contains(space: Space, simplex: GeodesicSimplex, p, tol: float = 1e-9) -> bool:
+def cone_contains(space: Space, simplex: GeodesicSimplex, p) -> bool:
     """True when p = lambda*q for some q in the simplex and 0 <= lambda <= 1."""
     mat = simplex.matrix()
     vec = np.asarray(p, dtype=float)
@@ -160,14 +160,14 @@ def cone_contains(space: Space, simplex: GeodesicSimplex, p, tol: float = 1e-9) 
     if rank < mat.shape[1]:
         raise SingularBasis("simplex vertices are numerically dependent")
     gap = float(np.linalg.norm(mat @ mu - vec))
-    if gap > tol * max(1.0, float(np.linalg.norm(vec))):
+    if gap > tolerance.CONE * max(1.0, float(np.linalg.norm(vec))):
         return False
-    if (mu < -tol).any():
+    if (mu < -tolerance.CONE).any():
         return False
     q = float(vec @ (space._Karr * vec))
-    if q > _EPS_NORM:
-        return q <= 1.0 + tol
-    return float(mu.sum()) <= 1.0 + tol
+    if q > tolerance.NORM_FLOOR:
+        return q <= 1.0 + tolerance.CONE
+    return float(mu.sum()) <= 1.0 + tolerance.CONE
 
 
 def _min_gram_on_simplex(G: np.ndarray) -> float:
@@ -198,7 +198,8 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
 
     None when the reduced Hessian is rank-deficient (the sub-faces supply
     any stationary value the face has; see _min_gram_on_simplex) or when the
-    unique stationary point has a weight below -1e-12, outside the face.
+    unique stationary point has a weight below -tolerance.FACE_SLACK,
+    outside the face.
     """
     r = sub.shape[0]
     Z = np.zeros((r, r - 1))
@@ -211,7 +212,7 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     if rank < r - 1:
         return None
     mu = e1 + Z @ t
-    return float(mu @ sub @ mu) if (mu >= -1e-12).all() else None
+    return float(mu @ sub @ mu) if (mu >= -tolerance.FACE_SLACK).all() else None
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -228,13 +229,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def mc_volume(
-    space: Space,
-    simplex: GeodesicSimplex,
-    samples: int,
-    seed: int,
-    tol: float = 1e-9,
-) -> VolumeEstimate:
+def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss estimate of the native volume of the simplex.
 
     Samples are drawn uniformly from the linear simplex {mu >= 0,
@@ -253,8 +248,8 @@ def mc_volume(
     draw sequence, and each sample is tested on its own row, so the chunk
     size changes neither the hits nor the estimate.  Raises DomainError when
     samples or seed is not an integer (bool counts as one), samples is below
-    1000, seed is negative or tol is negative, and DimensionMismatch when
-    space is not the simplex's space.
+    1000 or seed is negative, and DimensionMismatch when space is not the
+    simplex's space.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -266,8 +261,6 @@ def mc_volume(
         raise DomainError("seed must be nonnegative, got %d" % (seed,))
     if space.sig != simplex.space.sig:
         raise DimensionMismatch("simplex belongs to a different space")
-    if not tol >= 0.0:
-        raise DomainError("tol must be nonnegative, got %r" % (tol,))
     count, gram, reach, scale, rounding = simplex._frame
 
     rng = np.random.default_rng(seed)
@@ -281,8 +274,8 @@ def mc_volume(
         form = mu @ gram
         form *= mu
         # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
-        # and g* > _EPS_NORM, so mu^T G mu <= _EPS_NORM gives sum(mu) <= 1e-6 reach < 1.
-        hits += int(np.count_nonzero(_row_sums(form) <= 1.0 + tol))
+        # and g* > NORM_FLOOR, so mu^T G mu <= NORM_FLOOR gives sum(mu) <= 1e-6 reach < 1.
+        hits += int(np.count_nonzero(_row_sums(form) <= 1.0 + tolerance.CONE))
         done += take
 
     rate = hits / samples

@@ -87,12 +87,16 @@ def _sample_rows(sig, rng, count=12):
     """Raw (x, y) rows of measurable pairs: random ones, and every third
     near-coincident (y = x moved by about 1e-6)."""
     sp = Space(sig)
+    K = np.array(sp.K, dtype=float)
     rows = []
     while len(rows) < count:
         x = rng.uniform(-2.0, 2.0, sp.n + 1)
         y = x + 1e-6 * rng.uniform(-1.0, 1.0, sp.n + 1) if len(rows) % 3 == 0 else rng.uniform(-2.0, 2.0, sp.n + 1)
+        squares = np.array([x, y]) ** 2
+        # stay clear of the absolute: q > 1e-3 max(1, sum |K| x^2) for both rows, q = sum K x^2
+        if not (squares @ K > 1e-3 * np.maximum(1.0, squares @ np.abs(K))).all():
+            continue
         try:
-            sp.normalize(np.array([x, y]), tol=1e-3)  # stay clear of the absolute
             distance(sp, sp.normalize(x), sp.normalize(y))
         except GeometryError:
             continue
@@ -407,11 +411,13 @@ BAD_PAYLOADS = [
     (APPLY + ('{"points": 5}',), 2, "usage"),
     (("transform", "--space", "ee", "--givens", "0,5,0.5"), 2, "usage"),
     (("transform", "--space", "ee", "--givens", "1,0,0.5"), 2, "usage"),
-    (VOL + ("[[1,0,0],[0,1,0]]", "--tol", "-1"), 3, "DomainError"),
     (("transform", "--space", "ee", "--givens", "0,1,nan"), 3, "DomainError"),
     (("transform", "--space", "ee", "--givens", "0,1,inf"), 3, "DomainError"),
     (("transform", "--space", "he", "--givens", "0,1,inf"), 3, "DomainError"),
     (APPLY + ('{"points": [[NaN,0,1]]}',), 3, "DomainError"),
+    # built vertex coordinates above 1e150: refused before any product overflows
+    (("triangle", "--space", "pe", "--b", "1e200", "--alpha", "0.5", "--c", "1e200"), 3, "DomainError"),
+    (("triangle", "--space", "pe", "--b", "1e308", "--alpha", "0.5", "--c", "1e308", "--laws"), 3, "DomainError"),
 ]
 
 

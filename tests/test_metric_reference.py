@@ -38,17 +38,17 @@ from ckgeo.metric import LawReport, _rel
 PLANAR_SIGS = [(k1, k2) for k1 in (1, 0, -1) for k2 in (1, 0, -1)]
 
 
-def reference_measure_triangle(tri, tol=1e-9):
+def reference_measure_triangle(tri):
     sp = tri.space
     A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
-    a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]), tol)
+    a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]))
     to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
         np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
     )
     vertices = np.array([A, B, C])
     X = MPlane(sp, np.stack([vertices, np.array([to_B, -to_A_at_B, to_A])], axis=-1), validate=False)
     Y = MPlane(sp, np.stack([vertices, np.array([to_C, toward_C, to_B2])], axis=-1), validate=False)
-    alpha, beta_prime, gamma = angle(sp, X, Y, tol)
+    alpha, beta_prime, gamma = angle(sp, X, Y)
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
 
 

@@ -98,12 +98,6 @@ def test_integer_like_arguments_are_accepted():
         )
 
 
-@pytest.mark.parametrize("tol", [-1e-9, -1.0, math.nan])
-def test_negative_tolerance_is_rejected(tol):
-    with pytest.raises(DomainError, match="tol must be nonnegative"):
-        mc_volume(EE, octant(), 10_000, 1, tol=tol)
-
-
 def test_space_must_match_the_simplex():
     # a wrong n, and a same-n signature, in which the octant's cone is unbounded
     with pytest.raises(DimensionMismatch, match="different space"):
@@ -331,7 +325,6 @@ def count_min_gram_calls(monkeypatch):
         ((PE, 5000, None), {}, DomainError, "samples and seed must be integers, got 5000, None"),
         ((PE, 10_000, -1), {}, DomainError, "seed must be nonnegative"),
         ((HE, 10_000, 1), {}, DimensionMismatch, "different space"),
-        ((PE, 10_000, 1), {"tol": -1.0}, DomainError, "tol must be nonnegative"),
     ],
 )
 def test_arguments_are_checked_before_the_frame(monkeypatch, args, kwargs, error, message):
