@@ -176,16 +176,18 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
     B is the base point moved distance c along the first coordinate geodesic;
     C is moved distance b along the same geodesic and then rotated by alpha
     around A in the (1, 2) block.  A coordinate of B (row 0) or C (row 1)
-    above tolerance.ENTRY_LIMIT in magnitude raises DomainError naming it,
-    before any product is formed.
+    above tolerance.ENTRY_LIMIT in magnitude, or not finite, raises
+    DomainError naming it, before any product is formed.
     """
     if space.n != 2:
         raise DimensionMismatch("SAS construction needs a planar space")
     base = np.zeros(space.n + 1)
     base[0] = 1.0
     A = ProjPoint(base)
-    B = apply_point(givens(space, 0, 1, c), A)
-    C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
+    # An overflow here leaves an inf or NaN coordinate, which the check below names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = apply_point(givens(space, 0, 1, c), A)
+        C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
     # The plain-float test (false for NaN) costs a fifth of _require_finite, which names the entry.
     if not all(abs(v) <= tolerance.ENTRY_LIMIT for v in [*B.coords.tolist(), *C.coords.tolist()]):
         _require_finite(np.array([B.coords, C.coords]), "vertex coordinate", tolerance.ENTRY_LIMIT)

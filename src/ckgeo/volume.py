@@ -49,6 +49,13 @@ stderr is never 0, even at a hit rate of 1.
 The sampling frame (G, g*, L, the scale and the rounding floor) depends on
 the simplex alone, so it is built once per simplex, on the first mc_volume
 call, and kept with it; later calls only sample.
+
+Layout.  Each chunk of _CHUNK = 2^14 draws is transposed once, so row j
+holds coefficient j of every sample, each sample is one column, and every
+step runs on contiguous rows that stay near cache size.  numpy reduces the
+leading axis of a C-contiguous array row by row, so a sample's terms are
+added in vertex order for any vertex count, and its bits depend neither on
+its chunk nor on the chunk size.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from . import tolerance
 from .entity import ProjPoint, Space
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -215,20 +222,6 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     return float(mu @ sub @ mu) if (mu >= -tolerance.FACE_SLACK).all() else None
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums of an (N, k) array, adding its columns left to right.
-
-    numpy reduces a short row axis slowly.  For k < 8 its pairwise sum adds
-    the columns in this same order, so the bits are the same as
-    a.sum(axis=1); for k >= 8 numpy sums in another order and the last bits
-    may differ.
-    """
-    total = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
-
-
 def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss estimate of the native volume of the simplex.
 
@@ -245,8 +238,9 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
 
     Deterministic for a given (samples, seed) pair: one pseudo-random stream
     consumed in fixed-size chunks, so the count of chunks never changes the
-    draw sequence, and each sample is tested on its own row, so the chunk
-    size changes neither the hits nor the estimate.  Raises DomainError when
+    draw sequence, and each sample is one column of a coefficient-major
+    chunk whose terms are added in vertex order, so the chunk size changes
+    neither the hits nor the estimate.  Raises DomainError when
     samples or seed is not an integer (bool counts as one), samples is below
     1000 or seed is negative, and DimensionMismatch when space is not the
     simplex's space.
@@ -268,14 +262,14 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
     done = 0
     while done < samples:
         take = min(_CHUNK, samples - done)
-        e = rng.standard_exponential((take, count + 1))
-        mu = e[:, :count]
-        mu *= (reach / _row_sums(e))[:, None]
-        form = mu @ gram
+        e = rng.standard_exponential((take, count + 1)).T.copy()
+        mu = e[:count]
+        mu *= reach / e.sum(axis=0)
+        form = gram.T @ mu
         form *= mu
         # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
         # and g* > NORM_FLOOR, so mu^T G mu <= NORM_FLOOR gives sum(mu) <= 1e-6 reach < 1.
-        hits += int(np.count_nonzero(_row_sums(form) <= 1.0 + tolerance.CONE))
+        hits += int(np.count_nonzero(form.sum(axis=0) <= 1.0 + tolerance.CONE))
         done += take
 
     rate = hits / samples

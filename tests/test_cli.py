@@ -418,6 +418,8 @@ BAD_PAYLOADS = [
     # built vertex coordinates above 1e150: refused before any product overflows
     (("triangle", "--space", "pe", "--b", "1e200", "--alpha", "0.5", "--c", "1e200"), 3, "DomainError"),
     (("triangle", "--space", "pe", "--b", "1e308", "--alpha", "0.5", "--c", "1e308", "--laws"), 3, "DomainError"),
+    # building C overflows to inf: reported as that coordinate, with no numpy warning
+    (("triangle", "--space", "pp", "--b", "1e308", "--alpha", "10", "--c", "1"), 3, "DomainError"),
 ]
 
 

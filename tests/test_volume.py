@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,13 +385,23 @@ def _reference_mc_volume(space, simplex, samples, seed, tol=1e-9):
     return hits, scale * rate, stderr
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 9))
 def test_row_sums_match_numpy_on_narrow_rows(k):
-    # the sampler's rows have count + 1 <= 7 columns for up to 6 vertices
+    # mc_volume sums a sample's k terms as axis 0 of the transposed chunk;
+    # numpy adds those rows in order, so that is the left-to-right row sum for
+    # every k, and for k < 8 also numpy's own row sum (its pairwise sum
+    # reorders from 8 columns on), which _reference_mc_volume relies on.
     rng = np.random.default_rng(k)
-    wide = rng.standard_exponential((2_000, 8)) * rng.choice([-1e8, 1e-8, 1.0], (2_000, 8))
+    shape = (volume_module._CHUNK, 8)
+    wide = rng.standard_exponential(shape) * rng.choice([-1e8, 1e-8, 1.0], shape)
     for a in (wide[:, :k], wide[:, :k].copy()):
-        assert np.array_equal(volume_module._row_sums(a), a.sum(axis=1))
+        left_to_right = a[:, 0].copy()
+        for j in range(1, k):
+            left_to_right += a[:, j]
+        got = a.T.copy().sum(axis=0)
+        assert np.array_equal(got, left_to_right)
+        if k < 8:
+            assert np.array_equal(got, a.sum(axis=1))
 
 
 def _unit_simplex(sig, raws):
@@ -414,6 +425,7 @@ REFERENCE_SIMPLEXES = {
         "eee", [[1, 0, 0, 0], [0.5, 1, 0, 0], [0.5, 0, 1, 0], [0.4, 0.3, 0.2, 1]]
     ),
     "eeee simplex": lambda: _unit_simplex("eeee", np.eye(5) + 0.3),
+    "eeeee simplex": lambda: _unit_simplex("eeeee", np.eye(6) + 0.3),
 }
 
 
@@ -427,6 +439,39 @@ def test_estimates_match_the_reference_loop(monkeypatch, name, chunk):
     for seed, samples in [(1, 2_345), (2, 5_001), (3, 140_001), (2, 5_001), (4, 3_003)]:
         est = mc_volume(sp, simplex, samples, seed)
         assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, samples, seed)
+
+
+@pytest.mark.parametrize("name", ["ee octant", "eeee simplex", "eeeee simplex"])
+def test_hit_test_sees_the_reference_forms_bit_for_bit(monkeypatch, name):
+    # A last-bit change in a sample's form rarely moves a hit, so the
+    # reference-loop test above cannot see one.  A hit count at a threshold
+    # equal to a form value of the row layout, or one ulp below it, can:
+    # 1 + (t - 1) is exactly t for t in [0.5, 2].
+    sp, simplex = REFERENCE_SIMPLEXES[name]()
+    count, gram, reach = simplex._frame[:3]
+    e = np.random.default_rng(1).standard_exponential((3_000, count + 1))
+    mu = e[:, :count] * (reach / e.sum(axis=1))[:, None]
+    q = ((mu @ gram) * mu).sum(axis=1)
+    near = np.sort(q[(q >= 0.5) & (q <= 2.0)])
+    for t in near[:: max(1, len(near) // 60)]:
+        for edge in (t, np.nextafter(t, 0.0)):
+            monkeypatch.setattr(volume_module.tolerance, "CONE", edge - 1.0)
+            assert mc_volume(sp, simplex, 3_000, 1).hits == np.count_nonzero(q <= edge)
+
+
+def test_peak_memory_is_bounded_by_the_chunk():
+    # 10^6 samples of a six-vertex simplex: 62 chunks of 2^14 samples, whose
+    # arrays are freed between chunks, so the peak is about two chunks' worth
+    # (3.5 MB); the row layout with 2^17-sample chunks peaked at 21 MB
+    sp, simplex = REFERENCE_SIMPLEXES["eeeee simplex"]()
+    mc_volume(sp, simplex, 1_000, 1)  # builds the frame
+    tracemalloc.start()
+    try:
+        mc_volume(sp, simplex, 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_estimate_dict_shape():
