@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One binary with subcommands (dist, angle, triangle, volume, transform), all
-output as JSON on stdout (floats serialized in shortest round-trip form) or
-CSV for bulk point pairs.  Exit codes: 0 success, 2 usage or parse problem,
+output as JSON on stdout (floats serialized in shortest round-trip form) or,
+for dist, CSV.  dist writes its rows from a template, with the bytes
+json.dumps(sort_keys=True) or csv.writer would give; the other commands go
+through json.dumps.  Exit codes: 0 success, 2 usage or parse problem,
 3 domain error (the payload carries the error class name), 4 internal
 coefficient-algebra failure.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .entity import MPlane, ProjPoint, Space
-from .errors import GeometryError, NonDivisible
-from .metric import angle, distance, law_residuals, measure_triangle, triangle_from_sas
+from .errors import DomainError, GeometryError, NonDivisible
+from .metric import _measure_rows, angle, distance, law_residuals, measure_triangle, triangle_from_sas
 from .transform import (
     apply_plane,
     apply_point,
@@ -48,11 +50,12 @@ def _parse_floats(tokens: Sequence[str], want: int, what: str) -> List[float]:
 
 
 def _load_json_arg(text: str, what: str):
-    """Inline JSON when the value starts like JSON, else a UTF-8 file path."""
+    """Inline JSON when the value starts like JSON, else a UTF-8 file path
+    (a leading byte-order mark is skipped)."""
     raw = text.strip()
     if not raw.startswith(("[", "{")):
         try:
-            with open(text, "r", encoding="utf-8") as fh:
+            with open(text, "r", encoding="utf-8-sig") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise _UsageError("%s: cannot read file %r (%s)" % (what, text, exc)) from exc
@@ -88,77 +91,102 @@ def _plane(space: Space, payload, what: str) -> MPlane:
     return MPlane(space, cols.T)
 
 
-def _cmd_dist(args) -> object:
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _cmd_dist(args) -> str:
     space = _space(args)
     if args.pairs is not None:
-        return _dist_bulk(space, args)
+        return _dist_text(_dist_bulk(space, args.pairs), args.output)
     if args.p is None or args.q is None:
         raise _UsageError("dist needs --p and --q (or --pairs FILE)")
     x = _point(space, args.p, "--p")
     y = _point(space, args.q, "--q")
-    return distance(space, x, y).to_dict()
+    m = distance(space, x, y)
+    return _dist_text([(m.value, m.kind)], args.output, single=True)
 
 
-def _dist_bulk(space: Space, args) -> object:
-    """Measure all rows as one batch.
+def _dist_bulk(space: Space, path: str) -> list:
+    """The (phi, kind) of every row, measured as one batch.
 
     Errors come in file order: rows are parsed up to the first malformed
     one, whose usage error is raised only if the rows before it measure
     without error, and the bad point reported is the first one (x before
     y).  Points are checked before pairs are measured, so a bad point is
-    reported even when an earlier pair cannot be measured.
+    reported even when an earlier pair cannot be measured.  A leading
+    byte-order mark is skipped.
     """
     try:
-        with open(args.pairs, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
-        raise _UsageError("--pairs: cannot read %r (%s)" % (args.pairs, exc)) from exc
+        raise _UsageError("--pairs: cannot read %r (%s)" % (path, exc)) from exc
     width = 2 * (space.n + 1)
     values, malformed = [], None
     for lineno, row in enumerate(rows, 1):
+        if len(row) != width:
+            malformed = _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
+            break
         try:
-            if len(row) != width:
-                raise _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
-            values.append(_parse_floats(row, width, "--pairs row %d" % lineno))
-        except _UsageError as exc:
-            malformed = exc
+            values.extend(map(float, row))
+        except ValueError as exc:
+            del values[(lineno - 1) * width :]  # the tokens of this row before the bad one
+            malformed = _UsageError("--pairs row %d: %s" % (lineno, exc))
             break
     # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
-    points = space.normalize(np.array(values, dtype=float).reshape(-1, space.n + 1))
-    out = [m.to_dict() for m in distance(space, points[0::2], points[1::2])]
+    points = space.normalize(np.array(values).reshape(-1, space.n + 1))
+    measured = _measure_rows(space.sig[0], *space._point_products(points[0::2], points[1::2]))
     if malformed is not None:
         raise malformed
-    return out
+    return measured
 
 
-def _cmd_angle(args) -> object:
+def _dist_text(rows, output: str, single: bool = False) -> str:
+    """dist's output, written from (phi, kind) rows.
+
+    The bytes are those json.dumps(sort_keys=True) gives for the rows'
+    Measure.to_dict(), a list of them unless single, or csv.writer for
+    (repr(phi), 1, kind) under a phi,level,kind header: both write a finite
+    float as float.__repr__ does.  A non-finite phi raises DomainError.
+    """
+    for idx, (phi, _) in enumerate(rows, 1):
+        if not math.isfinite(phi):
+            raise DomainError("phi of pair %d is %r, not a finite number" % (idx, phi))
+    if output == "csv":
+        return "\n".join(["phi,level,kind", *["%r,1,%s" % row for row in rows]])
+    lines = ['{"kind": "%s", "level": 1, "phi": %r}' % (kind, phi) for phi, kind in rows]
+    return lines[0] if single else "[%s]" % ", ".join(lines)
+
+
+def _cmd_angle(args) -> str:
     space = _space(args)
     X = _plane(space, _load_json_arg(args.x, "--x"), "--x")
     Y = _plane(space, _load_json_arg(args.y, "--y"), "--y")
-    return angle(space, X, Y).to_dict()
+    return _json(angle(space, X, Y).to_dict())
 
 
-def _cmd_triangle(args) -> object:
+def _cmd_triangle(args) -> str:
     space = _space(args)
     tri = triangle_from_sas(space, args.b, args.alpha, args.c)
     tm = measure_triangle(tri)
     payload = {"measurements": tm.to_dict()}
     if args.laws:
         payload.update(law_residuals(space, tm).to_dict())
-    return payload
+    return _json(payload)
 
 
-def _cmd_volume(args) -> object:
+def _cmd_volume(args) -> str:
     space = _space(args)
     data = _load_json_arg(args.vertices, "--vertices")
     if not isinstance(data, list):
         raise _UsageError("--vertices: expected a JSON array of points")
     points = [space.normalize(_floats(v, "--vertices")) for v in data]
     simplex = GeodesicSimplex(space, points)
-    return mc_volume(space, simplex, args.samples, args.seed).to_dict()
+    return _json(mc_volume(space, simplex, args.samples, args.seed).to_dict())
 
 
-def _cmd_transform(args) -> object:
+def _cmd_transform(args) -> str:
     space = _space(args)
     chosen = [opt for opt in (args.random, args.givens, args.validate) if opt is not None]
     if len(chosen) != 1:
@@ -168,7 +196,7 @@ def _cmd_transform(args) -> object:
         side = space.n + 1
         if mat.size != side * side:
             raise _UsageError("--validate: matrix needs %d entries" % (side * side,))
-        return validate(space, mat.reshape(side, side)).to_dict()
+        return _json(validate(space, mat.reshape(side, side)).to_dict())
     if args.random is not None:
         g = random_transform(space, args.random)
     else:
@@ -198,7 +226,7 @@ def _cmd_transform(args) -> object:
                 for cols in data["planes"]
             ]
         payload["applied"] = applied
-    return payload
+    return _json(payload)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,18 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload, output: str) -> str:
-    if output == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("phi", "level", "kind"))
-        for row in rows:
-            writer.writerow((repr(row["phi"]), row["level"], row["kind"]))
-        return buf.getvalue().rstrip("\n")
-    return json.dumps(payload, sort_keys=True)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -268,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        payload = args.handler(args)
+        text = args.handler(args)
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2
@@ -284,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
-    print(_emit(payload, getattr(args, "output", "json")))
+    print(text)
     return 0
 
 

@@ -151,12 +151,10 @@ class Space:
         else:
             chars = kernel.check_signature(sig)
         object.__setattr__(self, "sig", chars)
-        object.__setattr__(self, "K", kernel.cumulative_products(chars))
-        karr = np.array(self.K, dtype=float)
-        karr.setflags(write=False)
+        K, karr, weights = _space_arrays(chars)
+        object.__setattr__(self, "K", K)
         object.__setattr__(self, "_Karr", karr)
-        # Columns K and |K|: a self-product and the size of its terms in one pass.
-        object.__setattr__(self, "_norm_weights", np.column_stack([karr, np.abs(karr)]))
+        object.__setattr__(self, "_norm_weights", weights)
 
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
@@ -250,15 +248,22 @@ class Space:
 
         Verifies the pairwise column products c_i (.) c_j = K_i delta_ij and
         the unit normalization of the plane itself (which pins the column
-        scale that the degenerate pairwise products cannot see).
+        scale that the degenerate pairwise products cannot see).  The
+        self-product squares minors of degree m+1 in the entries, so an entry
+        above tolerance.ENTRY_LIMIT ** (1/(m+1)) in magnitude raises
+        DomainError naming it, before any product is formed.
         """
+        cols = plane.cols.T
+        peak = np.abs(cols).max(axis=1)
+        m = plane.m
+        want, upper = _column_targets(self.sig, m)
+        limit = 10.0 ** (math.log10(tolerance.ENTRY_LIMIT) / (m + 1))
+        if max(peak.tolist()) > limit:  # a fifth of the cost of float(peak.max())
+            _require_finite(plane.cols, "plane entry", limit)
         # Row i of the products is column i against every column; the checks
         # run over the upper triangle in row order, so the first failure is
         # the (i, j) a pairwise loop would meet first.
-        cols = plane.cols.T
         got = self.dot_points(cols[:, None, :], cols[None, :, :])
-        want, upper = _column_targets(self.sig, plane.m)
-        peak = np.abs(cols).max(axis=1)
         mag = peak[:, None] * peak[None, :]
         bad = upper & (np.abs(got - want) > tolerance.PLANE_COLUMNS * np.maximum(1.0, mag * mag))
         if bad.any():
@@ -267,7 +272,8 @@ class Space:
                 "columns %d,%d have product %r, expected %r"
                 % (i, j, float(got[i, j]), self.K[i] if i == j else 0.0)
             )
-        unit = self.dot_planes(plane, plane)
+        minors = plane.minor_vector()
+        unit = float(kernel.product_arrays(self.sig, m).dot(minors, minors))
         if abs(unit - 1.0) > tolerance.PLANE_COLUMNS * max(1.0, abs(unit)):
             raise DimensionMismatch(
                 "plane self-product is %r, expected 1 (bad column scale?)" % (unit,)
@@ -331,6 +337,19 @@ def _direction(xv: np.ndarray, yv: np.ndarray, c: np.ndarray, s: np.ndarray) -> 
             "no real unit direction between the given points (cross %r)" % (_scalar(s[first]),)
         )
     return (yv - c[..., None] * xv) / s.real[..., None]
+
+
+@lru_cache(maxsize=None)
+def _space_arrays(sig):
+    """K, K as a read-only array, and the read-only columns (K, |K|) that
+    give a self-product and the size of its terms in one pass; built once
+    per signature."""
+    K = kernel.cumulative_products(sig)
+    karr = np.array(K, dtype=float)
+    weights = np.column_stack([karr, np.abs(karr)])
+    karr.setflags(write=False)
+    weights.setflags(write=False)
+    return K, karr, weights
 
 
 @lru_cache(maxsize=None)

@@ -51,19 +51,25 @@ class Measure:
         return {"phi": self.value, "level": self.level, "kind": self.kind}
 
 
-def _measure_pair(k: int, c, s, level: int):
-    """Measure each row of a product stack through the scalar inverter.
+def _measure_rows(k: int, c, s) -> list:
+    """(value, kind) of each row of a product stack, through the scalar inverter.
 
-    c and s are the arrays of Space._point_products or _plane_products; a
-    single pair (0-d arrays) gives one Measure, a stack the list of them.
-    The first row that cannot be measured raises its error.
+    c and s are the arrays of Space._point_products or _plane_products, at
+    characteristic k; the first row that cannot be measured raises its error.
     """
-    measures = []
+    rows = []
     for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist()):
         if sv.imag:
-            measures.append(Measure(gmeasure_from_cs(-k, abs(cv), sv.imag), level, "imaginary"))
+            rows.append((gmeasure_from_cs(-k, abs(cv), sv.imag), "imaginary"))
         else:
-            measures.append(Measure(gmeasure_from_cs(k, cv, sv.real), level, "real"))
+            rows.append((gmeasure_from_cs(k, cv, sv.real), "real"))
+    return rows
+
+
+def _measure_pair(k: int, c, s, level: int):
+    """_measure_rows as Measures: one for a single pair (0-d arrays), the
+    list of them for a stack."""
+    measures = [Measure(value, level, kind) for value, kind in _measure_rows(k, c, s)]
     return measures if np.ndim(s) else measures[0]
 
 

@@ -17,4 +17,4 @@ ROOT_SNAP = 1e-12  # negative cross radicand snapped to 0, relative to its term 
 NORM_FLOOR = 1e-12  # absolute: least g* and shell norm; relative: a simplex's least singular value
 FACE_SLACK = 1e-12  # absolute: how far below 0 a face's stationary weights may fall
 TIE_REL, TIE_ABS = 1e-12, 1e-15  # law_residuals' isclose: variant residuals this close tie
-ENTRY_LIMIT = 1e150  # largest |entry| squared unscaled, so sums of a few squares stay finite
+ENTRY_LIMIT = 1e150  # largest |entry| (validated m-plane: |entry|^(m+1)) squared unscaled, so sums stay finite

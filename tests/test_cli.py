@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from ckgeo import GeometryError, Space, distance
-from ckgeo.cli import main
+from ckgeo import DomainError, GeometryError, Measure, Space, cli, distance
+from ckgeo.cli import _dist_text, main
 
 
 def run(capsys, *argv):
@@ -83,6 +83,20 @@ def _coords(v):
     return ",".join(repr(float(c)) for c in v)
 
 
+def _encoder_text(measures, output, single=False):
+    """dist's output as json.dumps(sort_keys=True) of Measure.to_dict(), or as
+    csv.writer of (repr(phi), level, kind) under the phi,level,kind header."""
+    if output == "json":
+        payload = measures[0].to_dict() if single else [m.to_dict() for m in measures]
+        return json.dumps(payload, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("phi", "level", "kind"))
+    for m in measures:
+        writer.writerow((repr(m.value), m.level, m.kind))
+    return buf.getvalue()
+
+
 def _sample_rows(sig, rng, count=12):
     """Raw (x, y) rows of measurable pairs: random ones, and every third
     near-coincident (y = x moved by about 1e-6)."""
@@ -129,6 +143,9 @@ def test_dist_bulk_empty_file(capsys, tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("")
     assert run_json(capsys, "dist", "--space", "he", "--pairs", str(pairs)) == []
+    for output, want in (("json", "[]\n"), ("csv", "phi,level,kind\n")):
+        assert run(capsys, "dist", "--space", "he", "--pairs", str(pairs), "--output", output) == (0, want, "")
+        assert want == _encoder_text([], output)
 
 
 def _bulk_error(capsys, tmp_path, space, lines):
@@ -177,6 +194,10 @@ def test_dist_bulk_error_order_with_malformed_rows(capsys, tmp_path):
         3,
         "OnAbsolute",
     )
+    assert _bulk_error(capsys, tmp_path, "he", ["1,0,0,2,0.5,0", "1,1,0,1,0,0", "1,0,0,2,0.5,y"]) == (
+        3,
+        "OnAbsolute",
+    )
     # a malformed row before a bad point is a usage error
     assert _bulk_error(capsys, tmp_path, "he", ["1,0,0,x,0,0", "1,1,0,1,0,0"]) == (2, "usage")
 
@@ -186,6 +207,121 @@ def test_dist_non_finite_coordinate_exit_code(capsys, bad):
     code, out, err = run(capsys, "dist", "--space", "he", "--p=" + bad + ",0,0", "--q", "1,0,0")
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("sig", ["pe", "eh", "hh", "ehe"])
+def test_dist_rows_are_the_encoders_bytes(capsys, tmp_path, sig, output):
+    sp = Space(sig)
+    rows = _sample_rows(sig, np.random.default_rng(7 + len(sig)))
+    if sig == "pe":
+        # phi in exponent form: 1e-150, 1e16 and 1e20
+        rows += [(np.array([1.0, 0.0, 0.0]), np.array([1.0, t, 0.0])) for t in (1e-150, 1e16, 1e20)]
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(_coords(x) + "," + _coords(y) + "\n" for x, y in rows))
+    measures = [distance(sp, sp.normalize(x), sp.normalize(y)) for x, y in rows]
+    if sig != "pe":
+        assert {m.kind for m in measures} == {"real", "imaginary"}
+    code, out, err = run(capsys, "dist", "--space", sig, "--pairs", str(pairs), "--output", output)
+    assert (code, err) == (0, "")
+    assert out == _encoder_text(measures, output)
+    for (x, y), m in zip(rows[-3:], measures[-3:]):
+        argv = ("dist", "--space", sig, "--p=" + _coords(x), "--q=" + _coords(y), "--output", output)
+        assert run(capsys, *argv) == (0, _encoder_text([m], output, single=True), "")
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_dist_text_of_extreme_phi_is_the_encoders_bytes(output):
+    measures = [
+        Measure(5e-324, 1),
+        Measure(1e-300, 1, "imaginary"),
+        Measure(1e16, 1),
+        Measure(0.1 + 0.2, 1, "imaginary"),
+        Measure(0.0, 1),
+        Measure(123456789.0, 1),
+    ]
+    rows = [(m.value, m.kind) for m in measures]
+    assert _dist_text(rows, output) + "\n" == _encoder_text(measures, output)
+    for m, row in zip(measures, rows):
+        assert _dist_text([row], output, single=True) + "\n" == _encoder_text([m], output, single=True)
+
+
+@pytest.mark.parametrize("phi", [math.inf, math.nan])
+def test_dist_text_refuses_a_non_finite_phi(phi):
+    with pytest.raises(DomainError, match="phi of pair 2"):
+        _dist_text([(0.5, "real"), (phi, "real")], "json")
+    with pytest.raises(DomainError, match="phi of pair 1"):
+        _dist_text([(phi, "imaginary")], "csv", single=True)
+
+
+def test_dist_non_finite_phi_exits_with_one_json_error_line(capsys, tmp_path, monkeypatch):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("1,0,0,2,0.5,0\n")
+    monkeypatch.setattr(cli, "_measure_rows", lambda k, c, s: [(math.inf, "real")])
+    code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "DomainError"
+
+
+def _bulk_usage_message(capsys, tmp_path, lines):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    return payload["message"]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # a bad token in the middle of row 2, after a good row 1
+        (["1,0,0,2,0.5,0", "1,0,x,2,0.5,0"], "--pairs row 2: could not convert string to float: 'x'"),
+        # the good tokens before the bad one are not read as points: (1,1,0) is on the absolute
+        (["1,0,0,2,0.5,0", "1,1,0,x,0,0"], "--pairs row 2: could not convert string to float: 'x'"),
+        # a short row and a long one; blank lines are skipped and not counted
+        (["1,0,0,2,0.5,0", "1,0,0,2,0.5"], "--pairs row 2: needs 6 values, got 5"),
+        (["1,0,0,2,0.5,0", "", "1,0,0,2,0.5,0,7"], "--pairs row 2: needs 6 values, got 7"),
+        # the first malformed row wins
+        (["1,0,0,2,0.5,0", "1,0,0,2,0.5", "1,0,0,x,0,0"], "--pairs row 2: needs 6 values, got 5"),
+    ],
+)
+def test_dist_bulk_usage_messages(capsys, tmp_path, lines, message):
+    assert _bulk_usage_message(capsys, tmp_path, lines) == message
+
+
+def test_dist_bulk_parses_what_float_parses(capsys, tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(" 1.5,0,0,1_0,0.5,-0.0\n")
+    bulk = run_json(capsys, "dist", "--space", "he", "--pairs", str(pairs))
+    assert bulk == [run_json(capsys, "dist", "--space", "he", "--p= 1.5,0,0", "--q=1_0,0.5,-0.0")]
+    pairs.write_text("1,0,0,2,0.5,0\n1,0,0,inf,0,0\n")
+    code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "DomainError", "message": "coordinate 0 is inf, not a finite number"}
+
+
+BOM = "\ufeff"
+
+
+def test_dist_bulk_reads_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("1,0,0,1,3,4\n1,1,0,1,1,2\n", encoding="utf-8")
+    marked.write_text(BOM + "1,0,0,1,3,4\n1,1,0,1,1,2\n", encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for output in ("json", "csv"):
+        want = run(capsys, "dist", "--space", "pe", "--pairs", str(plain), "--output", output)
+        assert want[0] == 0
+        assert run(capsys, "dist", "--space", "pe", "--pairs", str(marked), "--output", output) == want
+
+
+def test_json_file_argument_reads_a_byte_order_mark(capsys, tmp_path):
+    x = tmp_path / "x.json"
+    x.write_text(BOM + "[[1,0,0],[0,1,0]]", encoding="utf-8")
+    got = run_json(capsys, "angle", "--space", "ee", "--x", str(x), "--y", "[[1,0,0],[0,0,1]]")
+    want = run_json(capsys, "angle", "--space", "ee", "--x", "[[1,0,0],[0,1,0]]", "--y", "[[1,0,0],[0,0,1]]")
+    assert got == want and got["phi"] == pytest.approx(math.pi / 2)
 
 
 # -- angle --------------------------------------------------------------------
@@ -420,6 +556,9 @@ BAD_PAYLOADS = [
     (("triangle", "--space", "pe", "--b", "1e308", "--alpha", "0.5", "--c", "1e308", "--laws"), 3, "DomainError"),
     # building C overflows to inf: reported as that coordinate, with no numpy warning
     (("triangle", "--space", "pp", "--b", "1e308", "--alpha", "10", "--c", "1"), 3, "DomainError"),
+    # a validated plane entry whose products would overflow: refused before they are formed
+    (("angle", "--space", "ee", "--x", "[[1,0,0],[0,1e200,0]]", "--y", "[[1,0,0],[0,0,1]]"), 3, "DomainError"),
+    (("angle", "--space", "ee", "--x", "[[1,0,0],[0,1e100,0]]", "--y", "[[1,0,0],[0,0,1]]"), 3, "DomainError"),
 ]
 
 

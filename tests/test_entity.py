@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ def test_space_accepts_strings_and_tuples():
     assert Space("pe").sig == (0, 1)
     assert Space((1, 1)).sig == (1, 1)
     assert Space("hh").K == (1, -1, 1)
+
+
+def test_space_arrays_are_built_once_per_signature():
+    a, b = Space("hpe"), Space((-1, 0, 1))
+    assert a._Karr is b._Karr and a._norm_weights is b._norm_weights
+    assert a._Karr.tolist() == list(a.K) == [1, -1, 0, 0]
+    assert a._norm_weights.tolist() == [[1, 1], [-1, 1], [0, 0], [0, 0]]
+    assert not a._Karr.flags.writeable and not a._norm_weights.flags.writeable
 
 
 def test_space_dimension():
@@ -332,6 +341,35 @@ def test_plane_rejects_non_finite(bad):
     stack = np.array([np.eye(3)[:, :2], cols, cols.T[::-1].T])
     with pytest.raises(DomainError, match=r"plane entry \(1, 2, 1\) is"):
         MPlane(sp, stack, validate=False)
+
+
+@pytest.mark.parametrize(
+    "sig, cols, limit",
+    [
+        # m = 1: degree-4 checks and squared 2x2 minors; the limit is 1e150 ** (1/2)
+        ("ee", [[1, 0, 0], [0, 1e200, 0]], 1e75),
+        ("ee", [[1, 0, 0], [0, 1e100, 0]], 1e75),
+        ("he", [[1, 0, 0], [0, 0, -2e75]], 1e75),
+        # m = 2: squared 3x3 minors; the limit is 1e150 ** (1/3)
+        ("eee", [[1e60, 0, 0, 0], [0, 1e60, 0, 0], [0, 0, 1e60, 0]], 1e50),
+    ],
+)
+def test_validated_plane_refuses_entries_whose_products_overflow(sig, cols, limit):
+    sp = Space(sig)
+    with np.errstate(all="raise"):
+        with pytest.raises(DomainError, match=re.escape("above %r in magnitude" % limit)):
+            MPlane(sp, np.array(cols, dtype=float).T)
+    # unvalidated planes form no products on construction
+    MPlane(sp, np.array(cols, dtype=float).T, validate=False)
+
+
+def test_validated_plane_keeps_entries_below_the_limit():
+    # a Euclidean line through (1, x, 0) along axis 1: valid at every x
+    sp = Space("pe")
+    line = MPlane(sp, np.array([[1.0, 1e70, 0.0], [0.0, 1.0, 0.0]]).T)
+    assert sp.dot_planes(line, line) == 1.0
+    with pytest.raises(DomainError, match=re.escape("plane entry (1, 0) is 1e+80")):
+        MPlane(sp, np.array([[1.0, 1e80, 0.0], [0.0, 1.0, 0.0]]).T)
 
 
 def test_plane_dimension_bounds():
