@@ -67,10 +67,13 @@ def gmeasure_from_cs(k: int, c: float, s: float, tol: float = tolerance.PAIR) ->
 
     The pair must satisfy c*c + k*s*s == 1 within tol (relative to the size
     of the terms); otherwise InconsistentPair is raised.  For k == -1 the
-    inversion needs c + s > 0, else DomainError.  Principal ranges: [0, pi]
-    for k == 1, [0, inf) otherwise.
+    inversion needs c + s > 0, else DomainError.  A non-finite c or s raises
+    DomainError first: the consistency test cannot see one.  Principal
+    ranges: [0, pi] for k == 1, [0, inf) otherwise.
     """
     _check_char(k)
+    if not (math.isfinite(c) and math.isfinite(s)):
+        raise DomainError("pair (%r, %r) is not finite" % (c, s))
     if s < 0.0:
         if s < -tol:
             raise InconsistentPair("sine-like value must be nonnegative, got %r" % (s,))

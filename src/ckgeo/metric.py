@@ -26,8 +26,8 @@ from typing import Dict
 
 import numpy as np
 
-from . import tolerance
-from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _require_finite, _scalar
+from . import kernel, tolerance
+from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _require_finite, _root, _scalar
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     NoSolution,
 )
 from .gtrig import _tan, gcos, gmeasure_from_cs, gsin
-from .transform import apply_point, compose, givens
+from .transform import _block_cs, apply_point, block_kind, givens
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,23 @@ def is_orthogonal(space: Space, X: MPlane, Y: MPlane) -> bool:
 # -- triangles ------------------------------------------------------------
 
 
+# Rows of the sides AB, AC, BC in the vertex stack [A, B, C].
+_SIDE_FROM, _SIDE_TO = np.array([0, 0, 1]), np.array([1, 2, 2])
+# The six ordered pairs AB, AC, BA, BC, CA, CB, and the side each one is.
+_PAIR_FROM, _PAIR_TO = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1])
+_PAIR_SIDE = np.array([0, 1, 0, 2, 1, 2])
+
+
 @dataclass(frozen=True)
 class Triangle:
-    """Three pairwise separated unit points in a planar (n = 2) space."""
+    """Three pairwise separated unit points in a planar (n = 2) space.
+
+    Construction forms the point cross products of the sides AB, AC and BC
+    in one cross_points call and keeps them, with the side rows, for
+    measure_triangle.  A side whose cross radicand is not finite raises
+    DomainError; one whose cross product is not real and nonzero raises
+    DegenerateTriangle (the first such side, in the order AB, AC, BC).
+    """
 
     space: Space
     A: ProjPoint
@@ -136,18 +150,29 @@ class Triangle:
     C: ProjPoint
 
     def __post_init__(self):
-        if self.space.n != 2:
+        sp = self.space
+        if sp.n != 2:
             raise DimensionMismatch("triangles need a planar space (n = 2)")
-        A, B, C = (self.space._vec(p) for p in (self.A, self.B, self.C))
-        s = self.space.cross_points(np.array([A, A, B]), np.array([B, C, C]))
-        # Real and nonzero: an imaginary root has real part +0.0, a NaN one NaN.
-        usable = s.real > 0.0
-        if not usable.all():
-            first = int(usable.argmin())
-            raise DegenerateTriangle(
-                "side %s has cross product %r (needs real and nonzero)"
-                % (("AB", "AC", "BC")[first], _scalar(s[first]))
-            )
+        vertices = np.array([sp._vec(p) for p in (self.A, self.B, self.C)])
+        x, y = vertices.take(_SIDE_FROM, axis=0), vertices.take(_SIDE_TO, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = sp.cross_points(x, y)
+            # Real, nonzero and finite: an imaginary root has real part +0.0, a NaN one NaN.
+            usable = [0.0 < r < math.inf for r in roots.real.tolist()]
+            if not all(usable):
+                first = usable.index(False)
+                side = ("AB", "AC", "BC")[first]
+                # A radicand of -inf (its term scale is inf) is snapped to a 0.0 root.
+                rad, _ = kernel.product_arrays(sp.sig, 0).cross(x[first], y[first])
+                if not math.isfinite(rad):
+                    raise DomainError(
+                        "side %s has cross radicand %r, not a finite number" % (side, float(rad))
+                    )
+                raise DegenerateTriangle(
+                    "side %s has cross product %r (needs real and nonzero)"
+                    % (side, _scalar(roots[first]))
+                )
+        object.__setattr__(self, "_sides", (vertices, x, y, roots))
 
 
 @dataclass(frozen=True)
@@ -181,31 +206,49 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
 
     B is the base point moved distance c along the first coordinate geodesic;
     C is moved distance b along the same geodesic and then rotated by alpha
-    around A in the (1, 2) block.  A coordinate of B (row 0) or C (row 1)
-    above tolerance.ENTRY_LIMIT in magnitude, or not finite, raises
-    DomainError naming it, before any product is formed.
+    around A in the (1, 2) block.  The coordinates are written out from the
+    block kernels, B = (Cc, Sc, 0) and C = (Cb, Ca Sb, Sa Sb), with the bits
+    that applying givens(0, 1, c) and compose(givens(1, 2, alpha),
+    givens(0, 1, b)) to A give where those are finite: the matrix products
+    add exact zeros, which turn a -0.0 into +0.0.  The parameters are taken
+    in the order c, alpha, b, so a non-finite or overflowing one raises the
+    DomainError givens raises.  A coordinate of B (row 0) or C (row 1) above
+    tolerance.ENTRY_LIMIT in magnitude, or not finite, raises DomainError
+    naming it, before any product is formed.
     """
     if space.n != 2:
         raise DimensionMismatch("SAS construction needs a planar space")
-    base = np.zeros(space.n + 1)
-    base[0] = 1.0
-    A = ProjPoint(base)
-    # An overflow here leaves an inf or NaN coordinate, which the check below names.
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = apply_point(givens(space, 0, 1, c), A)
-        C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
+    axis, turn = block_kind(space, 0, 1), block_kind(space, 1, 2)
+    Cc, Sc = _block_cs(axis, c)
+    Ca, Sa = _block_cs(turn, alpha)
+    Cb, Sb = _block_cs(axis, b)
+    # Cc and Cb are never zero; a product may overflow to inf, never to NaN.
+    B, C = [Cc, Sc + 0.0, 0.0], [Cb, Ca * Sb + 0.0, Sa * Sb + 0.0]
     # The plain-float test (false for NaN) costs a fifth of _require_finite, which names the entry.
-    if not all(abs(v) <= tolerance.ENTRY_LIMIT for v in [*B.coords.tolist(), *C.coords.tolist()]):
-        _require_finite(np.array([B.coords, C.coords]), "vertex coordinate", tolerance.ENTRY_LIMIT)
-    return Triangle(space, A, B, C)
+    if not all(abs(v) <= tolerance.ENTRY_LIMIT for v in B + C):
+        _require_finite(np.array([B, C]), "vertex coordinate", tolerance.ENTRY_LIMIT)
+    return Triangle(space, ProjPoint([1.0, 0.0, 0.0]), ProjPoint(B), ProjPoint(C))
 
 
-def _ray_angles(space: Space, vertices, u, v) -> list:
-    """Angles between the rays (vertex, u) and (vertex, v) of each row, as
-    one stack of lines; the first pair that cannot be measured raises."""
-    X = MPlane(space, np.stack([vertices, u], axis=-1), validate=False)
-    Y = MPlane(space, np.stack([vertices, v], axis=-1), validate=False)
-    return angle(space, X, Y)
+def _angles_between_rays(space: Space, vertices, rays) -> list:
+    """Level-2 measures between the lines (vertex, u) and (vertex, v) of the
+    rays u = rays[r, 0] and v = rays[r, 1] at each vertex r; the first pair
+    that cannot be measured raises.
+
+    A line's minors are V_i U_j - U_i V_j over the row pairs (i, j) of
+    product_arrays(sig, 1), the arithmetic MPlane.minor_vector does on each
+    2 x 2, so the measures have the bits angle() gives on the lines as
+    MPlanes.  A non-finite entry raises the DomainError those MPlanes raise.
+    """
+    if not np.isfinite(rays).all():
+        for side in (0, 1):
+            _require_finite(np.stack([vertices, rays[:, side]], axis=-1), "plane entry")
+    pa = kernel.product_arrays(space.sig, 1)
+    i, j = pa.rows.T
+    at = vertices[:, None, :]
+    minors = at.take(i, axis=-1) * rays.take(j, axis=-1) - rays.take(i, axis=-1) * at.take(j, axis=-1)
+    x, y = minors[:, 0], minors[:, 1]
+    return _measure_pair(space.sig[1], pa.dot(x, y), _root(*pa.cross(x, y)), 2)
 
 
 def measure_triangle(tri: Triangle) -> TriangleMeasurements:
@@ -216,20 +259,32 @@ def measure_triangle(tri: Triangle) -> TriangleMeasurements:
     of rays that are not jointly measurable at all (opposite branches) raise
     InconsistentPair or DomainError, which callers treat as a labeling or
     configuration problem rather than a numeric one.
+
+    The cross products are the ones Triangle formed; the dot products of the
+    same three side rows are one more pass.  Point weights and cross
+    coefficients are all -1, 0 or 1, so both products of (y, x) have the bits
+    of those of (x, y), and the six ordered pairs that give the rays reuse
+    the sides' products.  The angles are one plane product pass over the
+    rays' lines (see _angles_between_rays).  An overflow leaves an inf or NaN
+    product, which the measure of its pair refuses with DomainError.
     """
     sp = tri.space
-    A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
-    # One product pass over the six ordered pairs: rows (B, C), (A, C) and
-    # (A, B) are the sides a, b, c, and all six give the rays.
-    x, y = np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
-    dots, roots = sp._point_products(x, y)
-    a, b, c = _measure_pair(sp.sig[0], dots[[3, 1, 0]], roots[[3, 1, 0]], 1)
-    # The Triangle invariant keeps every ray real.
-    to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = _direction(x, y, dots, roots)
-    # Exterior convention at B: continue the AB geodesic past B.
-    alpha, beta_prime, gamma = _ray_angles(
-        sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2])
-    )
+    vertices, x, y, roots = tri._sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = kernel.product_arrays(sp.sig, 0).dot(x, y)
+        # Rows BC, AC, AB: the sides a, b, c.
+        a, b, c = _measure_pair(sp.sig[0], dots[::-1], roots[::-1], 1)
+        # Rays toward B and C at A, toward A and C at B, toward A and B at C;
+        # the Triangle invariant keeps every one real.
+        rays = _direction(
+            vertices.take(_PAIR_FROM, axis=0),
+            vertices.take(_PAIR_TO, axis=0),
+            dots.take(_PAIR_SIDE),
+            roots.take(_PAIR_SIDE),
+        )
+        # Exterior convention at B: continue the AB geodesic past B.
+        rays[2] = -rays[2]
+        alpha, beta_prime, gamma = _angles_between_rays(sp, vertices, rays.reshape(3, 2, 3))
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
 
 
@@ -414,10 +469,14 @@ def right_triangle_residuals(space: Space, a: float, b: float) -> RightTriangleR
     V_A = apply_point(givens(space, 0, 1, b), V_C)
     V_B = apply_point(givens(space, 0, 2, a), V_C)
 
-    c = distance(space, V_A, V_B).value
-    u = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_C.coords, V_C.coords]))
-    v = space.direction(np.array([V_A.coords, V_B.coords]), np.array([V_B.coords, V_A.coords]))
-    alpha, beta = _ray_angles(space, np.array([V_A.coords, V_B.coords]), u, v)
+    # An overflow leaves an inf or NaN product, which the measure of its pair
+    # refuses; the legs' own distances below cannot overflow if these did not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = distance(space, V_A, V_B).value
+        vertices = np.array([V_A.coords, V_B.coords])
+        u = space.direction(vertices, np.array([V_C.coords, V_C.coords]))
+        v = space.direction(vertices, np.array([V_B.coords, V_A.coords]))
+        alpha, beta = _angles_between_rays(space, vertices, np.stack([u, v], axis=1))
     if alpha.kind != "real" or beta.kind != "real":
         raise DomainError("right triangle angles came back imaginary")
     al, be = alpha.value, beta.value
@@ -457,7 +516,8 @@ def solve_sas(space: Space, b: float, alpha: float, c: float) -> TriangleMeasure
     k_1 is nonzero, its tangent-form degeneration when k_1 = 0, then the
     remaining angles via the sine relation with cosines supplied by the other
     cosine relations.  Raises NoSolution when an inversion leaves the range
-    of the governing pair.
+    of the governing pair, or a derived cosine would divide by a zero sine
+    (a side of length 0, or sines whose product underflows).
     """
     if space.n != 2:
         raise DimensionMismatch("SAS solver applies to planar spaces")
@@ -490,7 +550,7 @@ def solve_sas(space: Space, b: float, alpha: float, c: float) -> TriangleMeasure
         # consistency check, never the sign/range rules.
         beta_prime = gmeasure_from_cs(k2, C2bp, S2bp, tolerance.DERIVED_PAIR)
         gamma = gmeasure_from_cs(k2, C2ga, S2ga, tolerance.DERIVED_PAIR)
-    except (InconsistentPair, DomainError) as exc:
+    except (InconsistentPair, DomainError, ZeroDivisionError) as exc:
         raise NoSolution("triangle relations have no consistent solution: %s" % exc) from exc
 
     return TriangleMeasurements(

@@ -80,15 +80,21 @@ def givens(space: Space, i: int, j: int, t: float) -> GOrthoTransform:
     signature dictates.  A non-finite t raises DomainError.
     """
     kind = block_kind(space, i, j)
-    if not math.isfinite(t):
-        raise DomainError("givens parameter is %r, not a finite number" % (t,))
-    c, s = gcos(kind, t), gsin(kind, t)
+    c, s = _block_cs(kind, t)
     mat = np.eye(space.n + 1)
     mat[i, i] = c
     mat[j, j] = c
     mat[j, i] = s
     mat[i, j] = -kind * s
     return GOrthoTransform(space, mat, (("givens", i, j, float(t)),))
+
+
+def _block_cs(kind: int, t: float) -> Tuple[float, float]:
+    """The (gcos, gsin) pair of a rotation block of this kind at parameter t;
+    a non-finite t raises DomainError before either kernel is evaluated."""
+    if not math.isfinite(t):
+        raise DomainError("givens parameter is %r, not a finite number" % (t,))
+    return gcos(kind, t), gsin(kind, t)
 
 
 def reflect(space: Space, axis: int) -> GOrthoTransform:

@@ -559,6 +559,8 @@ BAD_PAYLOADS = [
     # a validated plane entry whose products would overflow: refused before they are formed
     (("angle", "--space", "ee", "--x", "[[1,0,0],[0,1e200,0]]", "--y", "[[1,0,0],[0,0,1]]"), 3, "DomainError"),
     (("angle", "--space", "ee", "--x", "[[1,0,0],[0,1e100,0]]", "--y", "[[1,0,0],[0,0,1]]"), 3, "DomainError"),
+    # finite vertices whose angle products overflow: refused, not printed as NaN
+    (("triangle", "--space", "hh", "--b", "300", "--alpha", "0.3", "--c", "0.5"), 3, "DomainError"),
 ]
 
 

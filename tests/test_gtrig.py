@@ -94,6 +94,17 @@ def test_measure_parabolic_requires_unit_cosine():
         gmeasure_from_cs(0, -1.0, 0.5)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+@pytest.mark.parametrize(
+    "c, s",
+    [(math.inf, 0.0), (1.0, math.inf), (math.nan, 0.0), (1.0, math.nan), (math.inf, math.inf), (1.0, -math.inf)],
+)
+def test_measure_refuses_a_non_finite_pair(k, c, s):
+    # c * c + k * s * s - 1 is inf or nan here, and neither fails the consistency test
+    with pytest.raises(DomainError, match="is not finite"):
+        gmeasure_from_cs(k, c, s)
+
+
 def test_measure_hyperbolic_domain():
     with pytest.raises(DomainError):
         gmeasure_from_cs(-1, -2.0, math.sqrt(3.0))

@@ -1,6 +1,7 @@
 """Measures, triangles, the law registry, and the SAS solver."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -215,6 +216,51 @@ def test_triangle_needs_planar_space():
     r = sp.normalize([0, 0, 1.0, 0])
     with pytest.raises(DimensionMismatch):
         Triangle(sp, p, q, r)
+
+
+@pytest.mark.parametrize(
+    "sig, points, want",
+    [
+        # the AB minor squares to inf
+        ("ee", ([1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]), "side AB has cross radicand inf"),
+        # inf * 0 in the AC minors
+        ("ee", ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.inf, 0.0, 0.0]), "side AC has cross radicand nan"),
+        # the BC minor squares to inf with coefficient -1: -inf, which the root snaps to 0.0
+        ("he", ([1e-200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]), "side BC has cross radicand -inf"),
+    ],
+)
+def test_triangle_refuses_a_non_finite_side_radicand(sig, points, want):
+    with pytest.raises(DomainError, match=want):
+        Triangle(Space(sig), *(ProjPoint(p) for p in points))
+
+
+def _sweep_values(rng, top):
+    return [0.0, 0.5, 3.0, 40.0, 300.0, 355.0, top] + [rng.uniform(0.0, top) for _ in range(3)]
+
+
+@pytest.mark.parametrize("sig", [(k1, k2) for k1 in (1, 0, -1) for k2 in (1, 0, -1)])
+def test_finite_sas_inputs_give_finite_measures_or_refuse(sig):
+    # Products of vertex coordinates far below the 1e150 limit overflow
+    # (e.g. hh, b = 300, alpha = 0.3, c = 0.5); a RuntimeWarning fails the test.
+    sp = Space(sig)
+    rng = random.Random(20 + 3 * sig[0] + sig[1])
+    sides, angles = _sweep_values(rng, 709.0), _sweep_values(rng, 700.0)
+    measured = 0
+    for b in sides:
+        for alpha in angles:
+            for c in sides:
+                for solve in (False, True):
+                    try:
+                        if solve:
+                            tm = solve_sas(sp, b, alpha, c)
+                        else:
+                            tm = measure_triangle(triangle_from_sas(sp, b, alpha, c))
+                    except GeometryError:
+                        continue
+                    measured += 1
+                    values = [tm.a, tm.b, tm.c, tm.alpha, tm.beta_prime, tm.gamma]
+                    assert all(math.isfinite(m.value) for m in values), (b, alpha, c, solve, values)
+    assert measured > 10
 
 
 def test_sas_measured_values_return_the_inputs():

@@ -1,13 +1,15 @@
 """Triangles, their measurements and the law registry against reference copies.
 
-The references below are the straightforward forms: sides and rays from two
-product passes, and every relation calling the kernels for itself.  The
+The references below are the straightforward forms: vertices from generator
+matrices, sides and rays from two product passes, angles between ray lines
+built as MPlanes, and every relation calling the kernels for itself.  The
 library computes each value once; it must give the same bits, the same
 refusals and the same first error.
 """
 
 import math
 import random
+import re
 from typing import Dict
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from ckgeo import (
     DegenerateTriangle,
+    DomainError,
     GeometryError,
     Imaginary,
     Measure,
@@ -24,18 +27,42 @@ from ckgeo import (
     Triangle,
     TriangleMeasurements,
     angle,
+    apply_point,
+    compose,
     distance,
     gcos,
+    givens,
     gsin,
     gtan,
     law_residuals,
     measure_triangle,
     metric,
+    right_triangle_residuals,
+    tolerance,
     triangle_from_sas,
 )
-from ckgeo.metric import LawReport, _rel
+from ckgeo.entity import _require_finite
+from ckgeo.metric import LawReport, RightTriangleReport, _rel
 
 PLANAR_SIGS = [(k1, k2) for k1 in (1, 0, -1) for k2 in (1, 0, -1)]
+
+
+def reference_triangle_from_sas(space, b, alpha, c):
+    """The coordinates of B and C (rows 0 and 1) as givens, compose and
+    apply_point build them."""
+    A = ProjPoint([1.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = apply_point(givens(space, 0, 1, c), A)
+        C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
+    coords = np.array([B.coords, C.coords])
+    _require_finite(coords, "vertex coordinate", tolerance.ENTRY_LIMIT)
+    return coords
+
+
+def reference_angles_between_rays(sp, vertices, u, v):
+    X = MPlane(sp, np.stack([vertices, u], axis=-1), validate=False)
+    Y = MPlane(sp, np.stack([vertices, v], axis=-1), validate=False)
+    return angle(sp, X, Y)
 
 
 def reference_measure_triangle(tri):
@@ -45,11 +72,40 @@ def reference_measure_triangle(tri):
     to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
         np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
     )
-    vertices = np.array([A, B, C])
-    X = MPlane(sp, np.stack([vertices, np.array([to_B, -to_A_at_B, to_A])], axis=-1), validate=False)
-    Y = MPlane(sp, np.stack([vertices, np.array([to_C, toward_C, to_B2])], axis=-1), validate=False)
-    alpha, beta_prime, gamma = angle(sp, X, Y)
+    alpha, beta_prime, gamma = reference_angles_between_rays(
+        sp, np.array([A, B, C]), np.array([to_B, -to_A_at_B, to_A]), np.array([to_C, toward_C, to_B2])
+    )
     return TriangleMeasurements(a, b, c, alpha, beta_prime, gamma)
+
+
+def reference_right_triangle_residuals(space, a, b):
+    k1 = space.sig[0]
+    V_C = ProjPoint([1.0, 0.0, 0.0])
+    V_A = apply_point(givens(space, 0, 1, b), V_C)
+    V_B = apply_point(givens(space, 0, 2, a), V_C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = distance(space, V_A, V_B).value
+        vertices = np.array([V_A.coords, V_B.coords])
+        u = space.direction(vertices, np.array([V_C.coords, V_C.coords]))
+        v = space.direction(vertices, np.array([V_B.coords, V_A.coords]))
+        alpha, beta = reference_angles_between_rays(space, vertices, u, v)
+    if alpha.kind != "real" or beta.kind != "real":
+        raise DomainError("right triangle angles came back imaginary")
+    al, be = alpha.value, beta.value
+    C1, S1, T1 = (lambda x: gcos(k1, x)), (lambda x: gsin(k1, x)), (lambda x: gtan(k1, x))
+    r = {
+        "eq26": _rel(T1(c) ** 2, T1(a) ** 2 + T1(b) ** 2 + k1 * T1(a) ** 2 * T1(b) ** 2),
+        "eq27": _rel(T1(b), T1(c) * math.cos(al)),
+        "eq28": _rel(T1(a), T1(c) * math.cos(be)),
+        "eq29": _rel(S1(a), S1(c) * math.sin(al)),
+        "eq30": _rel(S1(b), S1(c) * math.sin(be)),
+        "eq31": _rel(T1(a), S1(b) * math.tan(al)),
+        "eq32": _rel(T1(b), S1(a) * math.tan(be)),
+        "eq33": _rel(math.cos(al), C1(a) * math.sin(be)),
+        "eq34": _rel(math.cos(be), C1(b) * math.sin(al)),
+        "eq35": _rel(C1(c), (math.cos(al) / math.sin(al)) * (math.cos(be) / math.sin(be))),
+    }
+    return RightTriangleReport(distance(space, V_C, V_B).value, distance(space, V_C, V_A).value, c, al, be, r)
 
 
 def reference_law_residuals(space, tm):
@@ -125,6 +181,12 @@ def _hex(value):
         return (_hex(value.value), value.level, value.kind)
     if isinstance(value, TriangleMeasurements):
         return [_hex(getattr(value, f)) for f in ("a", "b", "c", "alpha", "beta_prime", "gamma")]
+    if isinstance(value, RightTriangleReport):
+        return [_hex(v) for v in (value.a, value.b, value.c, value.alpha, value.beta)] + [
+            (k, _hex(v)) for k, v in sorted(value.residuals.items())
+        ]
+    if isinstance(value, np.ndarray):
+        return [_hex(float(v)) for v in value.ravel()]
     if isinstance(value, LawReport):
         return (
             {k: _hex(v) for k, v in value.residuals.items()},
@@ -179,6 +241,30 @@ def test_measurements_and_laws_match_the_references():
             laws += 1
             assert _outcome(law_residuals, sp, tm) == _outcome(reference_law_residuals, sp, tm)
     assert measured > 400 and laws > 200
+
+
+def test_overflowing_triangles_match_the_references():
+    # Unnormalized vertices up to 1e200: rays that overflow raise the plane
+    # entry error the MPlane route raises, products that overflow the error of
+    # their pair, both without a numpy warning.
+    rng = random.Random(9)
+    outcomes = set()
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        for _ in range(150):
+            pts = [
+                [rng.choice([1.0, 0.0, 2.0]), rng.uniform(-2, 2) * 10.0 ** rng.uniform(0, 200), rng.uniform(-2, 2)]
+                for _ in range(3)
+            ]
+            try:
+                tri = Triangle(sp, *(ProjPoint(p) for p in pts))
+            except GeometryError:
+                continue
+            got = _outcome(measure_triangle, tri)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert got == _outcome(reference_measure_triangle, tri)
+            outcomes.add(got[1].split(" (")[0] if got[0] == "DomainError" else got[0])
+    assert {"ok", "plane entry", "pair"} <= outcomes
 
 
 def test_triangle_refuses_exactly_the_unusable_sides():
@@ -243,11 +329,80 @@ def test_law_residuals_evaluates_each_kernel_value_once(monkeypatch):
 
 
 def test_measure_triangle_makes_one_point_product_pass(monkeypatch):
-    passes = []
-    products = Space._point_products
-    monkeypatch.setattr(Space, "_point_products", lambda self, x, y: passes.append(1) or products(self, x, y))
+    # The one pass is Triangle's cross_points call; measure_triangle reuses its products.
+    calls = []
+    for name in ("_point_products", "cross_points"):
+        method = getattr(Space, name)
+        monkeypatch.setattr(Space, name, lambda self, x, y, f=method, n=name: calls.append(n) or f(self, x, y))
     sp = Space("ee")
     tri = triangle_from_sas(sp, 0.7, 1.1, 0.9)
-    passes.clear()
+    assert calls == ["cross_points", "_point_products"]
+    calls.clear()
+    relabeled = Triangle(sp, tri.B, tri.A, tri.C)
+    assert calls == ["cross_points", "_point_products"]
+    calls.clear()
     measure_triangle(tri)
-    assert len(passes) == 1
+    measure_triangle(relabeled)
+    assert calls == []
+
+
+def _vertex_outcome(fn, *args):
+    """_outcome, with a refused vertex coordinate pinned by class and index only:
+    the matrix products read nan where the kernels' products read +-inf."""
+    got = _outcome(fn, *args)
+    entry = re.match(r"vertex coordinate (\(\d, \d\)) is ", got[1]) if got[0] == "DomainError" else None
+    return (got[0], entry.group(1)) if entry else got
+
+
+def _sas_draws(rng, count):
+    """Law-suite draws, then values spread over the float range, with signed zeros."""
+    for trial in range(count):
+        b, alpha, c = (rng.uniform(0.05, 3.0) for _ in range(3))
+        if trial % 5 == 0:
+            b, c = 40.0 * b, 30.0 * c
+        if trial % 7 == 0:
+            alpha *= 50.0
+        yield b, alpha, c
+    special = (0.0, -0.0, 1.3, -2.2, 709.0, 710.0, 1e150, 1e154, 1e308, -1e308)
+    for _ in range(count):
+        yield tuple(
+            rng.choice(special) if rng.random() < 0.3 else rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 308.0)
+            for _ in range(3)
+        )
+    for b in (0.0, -0.0, 0.9):
+        for alpha in (0.0, -0.0, 0.4):
+            for c in (0.0, -0.0, 1.1):
+                yield b, alpha, c
+
+
+def test_triangle_from_sas_matches_the_matrix_construction(monkeypatch):
+    # Triangle's own refusals are not under test: take the vertices it is given.
+    monkeypatch.setattr(metric, "Triangle", lambda space, *vertices: np.array([p.coords for p in vertices]))
+    built = refused = 0
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        rng = random.Random(700 + 10 * sig[0] + sig[1])
+        for b, alpha, c in _sas_draws(rng, 150):
+            got = _vertex_outcome(triangle_from_sas, sp, b, alpha, c)
+            if got[0] != "ok":
+                assert got == _vertex_outcome(reference_triangle_from_sas, sp, b, alpha, c)
+                refused += 1
+                continue
+            assert got[1][:3] == ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"]
+            assert ("ok", got[1][3:]) == _vertex_outcome(reference_triangle_from_sas, sp, b, alpha, c)
+            built += 1
+    assert built > 1000 and refused > 400
+
+
+def test_right_triangle_residuals_match_the_plane_route():
+    measured = 0
+    for sig in [(k1, 1) for k1 in (1, 0, -1)]:
+        sp = Space(sig)
+        rng = random.Random(800 + sig[0])
+        for trial in range(120):
+            hi = (3.0, 60.0, 720.0)[trial % 3]
+            a, b = rng.uniform(0.05, hi), rng.uniform(0.05, hi)
+            got = _outcome(right_triangle_residuals, sp, a, b)
+            assert got == _outcome(reference_right_triangle_residuals, sp, a, b)
+            measured += got[0] == "ok"
+    assert measured > 150
