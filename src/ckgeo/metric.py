@@ -330,6 +330,11 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _require_finite_reading(key: str, reading: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError("%s %s is %r, not a finite number" % (key, reading, value))
+
+
 def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     """Evaluate the thirteen planar triangle relations on real measurements.
 
@@ -342,7 +347,10 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     under the plain key is the smaller one and `variants` names the winner
     ("tie" when they agree to within roundoff).  The 24 kernel values are
     each evaluated once, in the order of their first use in the relations,
-    so an overflow raises the error the relations meet first.
+    so an overflow raises the error the relations meet first.  After that, a
+    residual or variant reading that is not finite (a product overflowed)
+    raises DomainError naming the first such relation, so no NaN or inf is
+    reported and none can win a vote.
     """
     if space.n != 2:
         raise DimensionMismatch("law registry applies to planar spaces")
@@ -377,8 +385,12 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     residuals["eq16"] = _rel(Cc, Ca * Cb + k1 * Sa * Sb * Cga)
     residuals["eq17"] = _rel(Cal, Cbp * Cga + k2 * Sbp * Sga * Ca)
     residuals["eq18"] = _rel(Cbp, Cal * Cga - k2 * Sal * Sga * Cb)
+    for key, value in residuals.items():
+        _require_finite_reading(key, "residual", value)
 
     def record(key: str, printed: float, corrected: float) -> None:
+        _require_finite_reading(key, "as-printed", printed)
+        _require_finite_reading(key, "corrected", corrected)
         variant_values[key] = {"as-printed": printed, "corrected": corrected}
         if math.isclose(printed, corrected, rel_tol=tolerance.TIE_REL, abs_tol=tolerance.TIE_ABS):
             variants[key] = "tie"
@@ -400,12 +412,11 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
         both sides diverge together."""
 
         def resid(sq):
-            num = (
-                t1 * t1
-                + t2 * t2
-                + sign * 2.0 * t1 * t2 * cos_other
-                + k1 * k2 * t1 * t1 * t2 * t2 * sq
-            )
+            num = t1 * t1 + t2 * t2 + sign * 2.0 * t1 * t2 * cos_other
+            if k1 * k2:
+                # The quartic term's coefficient is an exact integer; where it
+                # is 0 the term is not formed, since 0 * inf would be NaN.
+                num += k1 * k2 * t1 * t1 * t2 * t2 * sq
             den = 1.0 - sign * klevel * t1 * t2 * cos_other
             u = lhs * lhs
             best = math.inf

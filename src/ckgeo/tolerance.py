@@ -16,5 +16,6 @@ SIGN_CUT = 1e-12  # share of the peak a coordinate needs to fix normalize's cano
 ROOT_SNAP = 1e-12  # negative cross radicand snapped to 0, relative to its term scale
 NORM_FLOOR = 1e-12  # absolute: least g* and shell norm; relative: a simplex's least singular value
 FACE_SLACK = 1e-12  # absolute: how far below 0 a face's stationary weights may fall
+FORM_ROUNDING = 1e-12  # a sampled mu^T G mu's rounding, relative to L^2 max|G_ij|; needs (4c + 8) u
 TIE_REL, TIE_ABS = 1e-12, 1e-15  # law_residuals' isclose: variant residuals this close tie
 ENTRY_LIMIT = 1e150  # largest |entry| (validated m-plane: |entry|^(m+1)) squared unscaled, so sums stay finite

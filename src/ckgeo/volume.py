@@ -28,10 +28,31 @@ L = 1/sqrt(g*): the cone lies inside the linear simplex
 for c vertices.  Uniform points of it come from c + 1 standard
 exponentials, normalised to sum 1, the last one dropped and the rest scaled
 by L (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 5).  When g* is not positive the cone touches the null cone and is
-unbounded; that is an error.  Where the first characteristic is zero and
-the vertex representatives share the sign of their first coordinate, G is
-the all-ones matrix, g* = 1, and the region is the cone itself: every sample
-hits.
+unbounded; that is an error.
+
+Every sample hits.  For nu >= 0 with sum(nu) = 1, nu^T G nu is a convex
+combination of the G_ij, so it is at most max G_ij, and a sample, whose
+coefficient sum is at most L, has mu^T G mu <= L^2 max G_ij.  The frame
+keeps top = L^2 (max G_ij + 1e-12 max|G_ij|), the allowance being
+tolerance.FORM_ROUNDING, and when top <= 1 + tolerance.CONE every sample
+the sampler could draw is a hit, so mc_volume counts them without drawing.
+The allowance covers the rounding of the computed form, with unit roundoff
+u and gamma_k = k u / (1 - k u) (Higham, ch. 3): each coefficient
+e_j L / sum(e) takes c + 2 roundings, so the computed coefficients sum to
+at most L (1 + gamma_(c+2)); each term G_ij mu_i mu_j of the form takes at
+most 2c roundings (c in the product with G, in any order, with or without
+fused multiply-adds, one in the product with mu_i and c - 1 in the sum), so
+the computed form exceeds the exact form of the computed coefficients by at
+most gamma_(2c) max|G_ij| sum(mu)^2.  Together the computed form is at most
+L^2 (max G_ij + gamma_(4c+4) max|G_ij|), and top's own four roundings bring
+the need to about (4c + 8) u, below 1e-12 for any c under 2000;
+enumerating the 2^c faces for g* keeps c far smaller.  Where the first
+characteristic is zero and the vertex representatives share the sign of
+their first coordinate, normalize makes every first coordinate exactly 1,
+so G is the all-ones matrix, g* = L = 1, top = 1 + 1e-12 and the region is
+the cone itself.  Raw near-unit vertices, whose first coordinates may
+differ by up to about CONE, hold the bound only where those coordinates
+agree to within about CONE / 2; the others are sampled.
 
 Rounding floor.  The estimate is unbiased for any region that holds the
 cone, provided the scale is that region's exact volume, so the rounding
@@ -46,7 +67,7 @@ roundings of u each.  The floor is scale * (r c kappa + c + 3) * u; it is
 combined in quadrature with the binomial sampling error, so the reported
 stderr is never 0, even at a hit rate of 1.
 
-The sampling frame (G, g*, L, the scale and the rounding floor) depends on
+The sampling frame (G, L, the scale, the rounding floor and top) depends on
 the simplex alone, so it is built once per simplex, on the first mc_volume
 call, and kept with it; later calls only sample.
 
@@ -121,9 +142,12 @@ class GeodesicSimplex:
         return np.column_stack([v.coords for v in self.vertices])
 
     @functools.cached_property
-    def _frame(self) -> Tuple[int, np.ndarray, float, float, float]:
-        """(count, G, L, scale, rounding floor), stored on first use.  An
-        unbounded cone raises DomainError, which is not stored."""
+    def _frame(self) -> Tuple[int, np.ndarray, float, float, float, float]:
+        """(count, G, L, scale, rounding floor, top), stored on first use.
+
+        top bounds the computed form of every sample mc_volume can draw (see
+        "Every sample hits" in the module docstring).  An unbounded cone
+        raises DomainError, which is not stored."""
         mat = self.matrix()
         rows, count = mat.shape
         gram = mat.T @ (self.space._Karr[:, None] * mat)
@@ -137,7 +161,9 @@ class GeodesicSimplex:
         scale = count * reach**count * span_volume / math.factorial(count)
         kappa = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(R)))
         rounding = scale * (rows * count * kappa + count + 3) * _UNIT_ROUNDOFF
-        return count, gram, reach, scale, rounding
+        peak = float(np.abs(gram).max())
+        top = reach * reach * (float(gram.max()) + tolerance.FORM_ROUNDING * peak)
+        return count, gram, reach, scale, rounding, top
 
 
 @dataclass(frozen=True)
@@ -222,6 +248,26 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     return float(mu @ sub @ mu) if (mu >= -tolerance.FACE_SLACK).all() else None
 
 
+def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> int:
+    """Hits among `samples` uniform draws from the region {mu >= 0, sum(mu) <= reach}."""
+    count = gram.shape[0]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < samples:
+        take = min(_CHUNK, samples - done)
+        e = rng.standard_exponential((take, count + 1)).T.copy()
+        mu = e[:count]
+        mu *= reach / e.sum(axis=0)
+        form = gram.T @ mu
+        form *= mu
+        # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
+        # and g* > NORM_FLOOR, so mu^T G mu <= NORM_FLOOR gives sum(mu) <= 1e-6 reach < 1.
+        hits += int(np.count_nonzero(form.sum(axis=0) <= 1.0 + tolerance.CONE))
+        done += take
+    return hits
+
+
 def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss estimate of the native volume of the simplex.
 
@@ -234,7 +280,10 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
 
     stderr is the binomial sampling error combined (in quadrature) with a
     first-order bound on the rounding error of that scale, so it is never 0,
-    not even at a hit rate of 1, where the region is the cone itself.
+    not even at a hit rate of 1, where the region is the cone itself.  When
+    the frame shows that every sample must hit (see the module docstring),
+    no sample is drawn: hits = samples, and the seed is validated but
+    unused.  The result is the one sampling would give, bit for bit.
 
     Deterministic for a given (samples, seed) pair: one pseudo-random stream
     consumed in fixed-size chunks, so the count of chunks never changes the
@@ -255,22 +304,9 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
         raise DomainError("seed must be nonnegative, got %d" % (seed,))
     if space.sig != simplex.space.sig:
         raise DimensionMismatch("simplex belongs to a different space")
-    count, gram, reach, scale, rounding = simplex._frame
-
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        take = min(_CHUNK, samples - done)
-        e = rng.standard_exponential((take, count + 1)).T.copy()
-        mu = e[:count]
-        mu *= reach / e.sum(axis=0)
-        form = gram.T @ mu
-        form *= mu
-        # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
-        # and g* > NORM_FLOOR, so mu^T G mu <= NORM_FLOOR gives sum(mu) <= 1e-6 reach < 1.
-        hits += int(np.count_nonzero(form.sum(axis=0) <= 1.0 + tolerance.CONE))
-        done += take
+    _, gram, reach, scale, rounding, top = simplex._frame
+    # CONE is read at call time, not stored in the frame
+    hits = samples if top <= 1.0 + tolerance.CONE else _sample_hits(gram, reach, samples, seed)
 
     rate = hits / samples
     value = scale * rate

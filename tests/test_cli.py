@@ -381,6 +381,14 @@ def test_triangle_octant_with_laws(capsys):
     assert max(got["residuals"].values()) <= 1e-9
 
 
+def test_triangle_laws_with_an_overflowing_sine_are_finite(capsys):
+    # In ph, sinh(a)^2 of a side near 500 overflows; the quartic term of eq23
+    # and eq24 has coefficient k1*k2 = 0, so it is not formed (it was 0 * inf)
+    got = run_json(capsys, "triangle", "--space", "ph", "--b", "500", "--alpha", "0.5", "--c", "0.5", "--laws")
+    assert got["variants"]["eq23"] == got["variants"]["eq24"] == "tie"
+    assert max(got["residuals"].values()) <= 1e-9
+
+
 def test_triangle_345(capsys):
     got = run_json(
         capsys,
@@ -434,6 +442,16 @@ def test_volume_deterministic_output(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_volume_of_the_criterion_6_triangle_is_byte_stable(capsys):
+    # every sample hits, so nothing is drawn; the bytes are those sampling gave
+    code, out, _ = run(
+        capsys, "volume", "--space", "pe", "--vertices", "[[1,0,0],[1,3,0],[1,0,4]]",
+        "--samples", "1000000", "--seed", "42",
+    )
+    assert code == 0
+    assert out == '{"hits": 1000000, "samples": 1000000, "stderr": 4.081840020524353e-14, "volume": 6.0}\n'
 
 
 # -- transform ---------------------------------------------------------------

@@ -7,6 +7,7 @@ library computes each value once; it must give the same bits, the same
 refusals and the same first error.
 """
 
+import itertools
 import math
 import random
 import re
@@ -108,8 +109,19 @@ def reference_right_triangle_residuals(space, a, b):
     return RightTriangleReport(distance(space, V_C, V_B).value, distance(space, V_C, V_A).value, c, al, be, r)
 
 
-def reference_law_residuals(space, tm):
+def reference_law_residuals(space, tm, guarded=True):
+    """Every relation calling the kernels for itself.  Guarded, a quartic
+    term whose coefficient k1*k2 is 0 is not formed, and once every relation
+    is evaluated (so after any kernel error) the first reading that is not
+    finite raises DomainError, as the registry does.  Unguarded, the plain
+    formula, whose finite readings the registry keeps bit for bit."""
     k1, k2 = space.sig
+    not_finite = []
+
+    def finite(key, reading, value):
+        if guarded and not math.isfinite(value):
+            not_finite.append("%s %s is %r, not a finite number" % (key, reading, value))
+
     a, b, c = tm.a.value, tm.b.value, tm.c.value
     al, bp, ga = tm.alpha.value, tm.beta_prime.value, tm.gamma.value
 
@@ -131,8 +143,12 @@ def reference_law_residuals(space, tm):
     residuals["eq16"] = _rel(C1(c), C1(a) * C1(b) + k1 * S1(a) * S1(b) * C2(ga))
     residuals["eq17"] = _rel(C2(al), C2(bp) * C2(ga) + k2 * S2(bp) * S2(ga) * C1(a))
     residuals["eq18"] = _rel(C2(bp), C2(al) * C2(ga) - k2 * S2(al) * S2(ga) * C1(b))
+    for key, value in residuals.items():
+        finite(key, "residual", value)
 
     def record(key, printed, corrected):
+        finite(key, "as-printed", printed)
+        finite(key, "corrected", corrected)
         variant_values[key] = {"as-printed": printed, "corrected": corrected}
         if math.isclose(printed, corrected, rel_tol=1e-12, abs_tol=1e-15):
             variants[key] = "tie"
@@ -148,12 +164,8 @@ def reference_law_residuals(space, tm):
 
     def tangent_law(klevel, lhs, t1, t2, cos_other, sin_printed, sin_corrected, sign):
         def resid(sq):
-            num = (
-                t1 * t1
-                + t2 * t2
-                + sign * 2.0 * t1 * t2 * cos_other
-                + k1 * k2 * t1 * t1 * t2 * t2 * sq
-            )
+            quartic = k1 * k2 * t1 * t1 * t2 * t2 * sq if k1 * k2 or not guarded else -0.0
+            num = t1 * t1 + t2 * t2 + sign * 2.0 * t1 * t2 * cos_other + quartic
             den = 1.0 - sign * klevel * t1 * t2 * cos_other
             u = lhs * lhs
             best = math.inf
@@ -171,6 +183,8 @@ def reference_law_residuals(space, tm):
     record("eq23", *tangent_law(k2, T2(al), T2(bp), T2(ga), C1(a), S1(a), S2(a), -1.0))
     record("eq24", *tangent_law(k2, T2(bp), T2(al), T2(ga), C1(b), S1(b), S2(b), +1.0))
     record("eq25", *tangent_law(k2, T2(ga), T2(al), T2(bp), C1(c), S1(c), S2(c), -1.0))
+    if not_finite:
+        raise DomainError(not_finite[0])
     return LawReport(residuals, variant_values, variants)
 
 
@@ -314,6 +328,71 @@ def test_law_overflow_raises_the_first_error_in_relation_order():
             if got[0] != "ok":
                 errors.add(got[1])
     assert len(errors) >= 4
+
+
+def _law_grid():
+    """Measured all-real SAS triangles with sides up to 700 in the nine planar
+    signatures; sinh^2 of a side beyond about 355 overflows."""
+    sides = (0.5, 3.0, 50.0, 350.0, 500.0, 700.0)
+    for sig in PLANAR_SIGS:
+        sp = Space(sig)
+        for b, c, alpha in itertools.product(sides, sides, (0.1, 1.0, 3.0)):
+            try:
+                tm = measure_triangle(triangle_from_sas(sp, b, alpha, c))
+            except GeometryError:
+                continue
+            if tm.all_real():
+                yield sp, tm
+
+
+def _law_suite_measurements():
+    for sp, A, B, C in _sas_triangles():
+        try:
+            tm = measure_triangle(Triangle(sp, A, B, C))
+        except GeometryError:
+            continue
+        if tm.all_real():
+            yield sp, tm
+
+
+def _readings(report):
+    """{(relation, reading): hex value} of a hex-rendered LawReport."""
+    residuals, values, _ = report
+    readings = {(k, "residual"): v for k, v in residuals.items() if k not in values}
+    readings.update({(k, name): v for k, pair in values.items() for name, v in pair.items()})
+    return readings
+
+
+def test_law_readings_keep_their_bits_where_the_plain_formula_is_finite():
+    # Where every reading of the plain formula is finite, the registry gives
+    # the same bits.  Elsewhere it refuses the first non-finite relation; only
+    # where k1*k2 = 0, whose quartic term the plain formula forms as 0 * inf,
+    # may it instead give finite readings, keeping the plain formula's finite ones.
+    plain_nan = recovered = 0
+    for sp, tm in itertools.chain(_law_suite_measurements(), _law_grid()):
+        plain = _outcome(reference_law_residuals, sp, tm, False)
+        got = _outcome(law_residuals, sp, tm)
+        if plain[0] != "ok":
+            assert got == plain
+            continue
+        readings = _readings(plain[1])
+        bad = [(k, name, v) for (k, name), v in readings.items() if v in ("nan", "inf", "-inf")]
+        if not bad:
+            assert got == plain
+            continue
+        plain_nan += 1
+        if sp.sig[0] * sp.sig[1] != 0 or got[0] != "ok":
+            assert got == ("DomainError", "%s %s is %s, not a finite number" % bad[0])
+            continue
+        recovered += 1
+        bad_keys = {k for k, _, _ in bad}
+        got_readings = _readings(got[1])
+        for key, name in readings:
+            if key not in bad_keys:
+                assert got_readings[key, name] == readings[key, name]
+                assert got[1][2].get(key) == plain[1][2].get(key)
+    # 20 grid triangles in ph, with a side near 500 or more
+    assert plain_nan >= 15 and recovered == plain_nan
 
 
 def test_law_residuals_evaluates_each_kernel_value_once(monkeypatch):

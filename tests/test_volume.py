@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ def test_frame_is_built_once_per_simplex(monkeypatch):
     assert len(calls) == 1
     mc_volume(EE, second, 5_000, 1)
     assert len(calls) == 2
-    count, gram, reach, scale, rounding = first._frame
+    count, gram, reach, scale, rounding, top = first._frame
     assert count == 3 and not gram.flags.writeable
     with pytest.raises(ValueError):
         gram[0, 0] = 2.0
@@ -457,6 +458,131 @@ def test_hit_test_sees_the_reference_forms_bit_for_bit(monkeypatch, name):
         for edge in (t, np.nextafter(t, 0.0)):
             monkeypatch.setattr(volume_module.tolerance, "CONE", edge - 1.0)
             assert mc_volume(sp, simplex, 3_000, 1).hits == np.count_nonzero(q <= edge)
+
+
+def _flat_signatures(n):
+    """The 3^(n-1) signatures of dimension n whose first characteristic is 0."""
+    return [(0, *rest) for rest in itertools.product((-1, 0, 1), repeat=n - 1)]
+
+
+def _flat_simplex(sig, count):
+    """`count` seeded vertices in a k1 = 0 signature, first coordinates of one
+    sign.  Each raw vector is scaled by a random positive factor, so normalize
+    divides; the second coordinates are about 1 apart and the others within
+    0.1 of 0, so every separation radicand is at least 0.36 - 4 * 0.04 > 0."""
+    sp = Space(sig)
+    rng = np.random.default_rng([k + 1 for k in sig] + [count])
+    raw = np.hstack(
+        [
+            np.ones((count, 1)),
+            np.arange(count)[:, None] + rng.uniform(-0.2, 0.2, (count, 1)),
+            rng.uniform(-0.1, 0.1, (count, sp.n - 1)),
+        ]
+    )
+    raw *= rng.uniform(0.5, 2.0, (count, 1))
+    return sp, GeodesicSimplex(sp, [sp.normalize(r) for r in raw])
+
+
+def _certified(simplex):
+    return simplex._frame[5] <= 1.0 + volume_module.tolerance.CONE
+
+
+def _exact_det(mat):
+    """Determinant of a float matrix in rationals, by Gaussian elimination."""
+    rows = [[Fraction(float(x)) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col] != 0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flat_simplexes_match_the_exact_determinant(n):
+    # For k1 = 0 and first coordinates of one sign, G is all ones and the
+    # native volume of a full simplex is |det V| / n!.  The determinant is
+    # exact (rationals), so the oracle adds no rounding of its own and the
+    # estimate must lie within its stderr, here the rounding floor.
+    for sig in _flat_signatures(n):
+        sp, simplex = _flat_simplex(sig, n + 1)
+        assert _certified(simplex)
+        est = mc_volume(sp, simplex, 1_000_000, 7)
+        assert est.hits == est.samples == 1_000_000
+        exact = abs(_exact_det(simplex.matrix())) / math.factorial(n)
+        assert abs(Fraction(est.value) - exact) <= Fraction(est.stderr), sig
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("chunk", [None, 777])
+def test_certified_estimates_match_the_reference_loop(monkeypatch, n, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(volume_module, "_CHUNK", chunk)
+    for sig in _flat_signatures(n):
+        for count in range(2, n + 2):
+            sp, simplex = _flat_simplex(sig, count)
+            assert _certified(simplex)
+            est = mc_volume(sp, simplex, 2_345, 1)
+            assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, 2_345, 1)
+
+
+def record_generators(monkeypatch):
+    seeds = []
+    inner = np.random.default_rng
+
+    def recorded(seed):
+        seeds.append(seed)
+        return inner(seed)
+
+    monkeypatch.setattr(volume_module.np.random, "default_rng", recorded)
+    return seeds
+
+
+def test_a_certified_call_draws_nothing(monkeypatch):
+    sp, simplex = REFERENCE_SIMPLEXES["pe triangle"]()
+    sampled = REFERENCE_SIMPLEXES["ee octant"]()
+    seeds = record_generators(monkeypatch)
+    est = mc_volume(sp, simplex, 1_000_000, 3)
+    assert seeds == [] and (est.hits, est.samples, est.seed) == (1_000_000, 1_000_000, 3)
+    mc_volume(*sampled, 1_000, 3)
+    assert seeds == [3]
+
+
+def test_a_cone_below_the_bound_turns_the_certificate_off(monkeypatch):
+    # top = 1 + 1e-12 for the pe triangle: any CONE below 1e-12 samples again
+    sp, simplex = REFERENCE_SIMPLEXES["pe triangle"]()
+    assert simplex._frame[5] == 1.0 + 1e-12
+    seeds = record_generators(monkeypatch)
+    for cone in (1e-13, 0.0, -0.5):
+        monkeypatch.setattr(volume_module.tolerance, "CONE", cone)
+        want = _reference_mc_volume(sp, simplex, 5_001, 2, tol=cone)
+        seeds.clear()
+        est = mc_volume(sp, simplex, 5_001, 2)
+        assert seeds == [2] and (est.hits, est.value, est.stderr) == want
+
+
+def test_near_unit_vertices_are_sampled():
+    # first coordinates 1 +- 4e-10: unit within CONE, but L^2 max G_ij is
+    # about 1 + 1.6e-9, so no certificate; the region now overhangs the cone
+    # and some samples can miss
+    sp = PE
+    simplex = GeodesicSimplex(
+        sp, [ProjPoint([1.0 + 4e-10, 0.0, 0.0]), ProjPoint([1.0 - 4e-10, 3.0, 0.0]), ProjPoint([1.0, 0.0, 4.0])]
+    )
+    assert not _certified(simplex)
+    for seed, samples in [(1, 2_345), (3, 140_001)]:
+        est = mc_volume(sp, simplex, samples, seed)
+        assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, samples, seed)
+
+
+def test_only_the_flat_reference_simplex_is_certified():
+    certified = {name for name, build in REFERENCE_SIMPLEXES.items() if _certified(build()[1])}
+    assert certified == {"pe triangle"}
 
 
 def test_peak_memory_is_bounded_by_the_chunk():
