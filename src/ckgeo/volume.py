@@ -25,32 +25,54 @@ induction a smaller face, at worst a vertex, supplies it.  Every cone point
 has mu^T G mu >= g* sum(mu)^2, so its coefficient sum is at most
 L = 1/sqrt(g*): the cone lies inside the linear simplex
 {mu >= 0, sum(mu) <= L}, whose ambient volume is L^c sqrt(det(M^T M)) / c!
-for c vertices.  Uniform points of it come from c + 1 standard
-exponentials, normalised to sum 1, the last one dropped and the rest scaled
-by L (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 5).  When g* is not positive the cone touches the null cone and is
-unbounded; that is an error.
+for c vertices.  When g* is not positive the cone touches the null cone and
+is unbounded; that is an error.
+
+Draw and hit test.  The share of the region whose coefficient sum is below
+L s is s^c, so a uniform point of it is mu = L r^(1/c) nu, with r uniform on
+[0, 1] and, independently, nu uniform on the face {nu >= 0, sum(nu) = 1}.
+Each sample takes c uniforms: the spacings of the first c - 1, sorted, are
+nu (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 5), and the
+last one, V, places r.  With w = nu^T (L^2 G) nu, mu^T G mu = r^(2/c) w, so
+mu^T G mu <= 1 + CONE exactly when r^2 w^c <= (1 + CONE)^c, which needs no
+root.
+
+Radial shells.  r is stratified: sample j of a call lies in shell
+k = j mod 16 and takes r = (k + V) / 16, so each of the 16 equal-volume
+shells gets every 16th sample.  Each sample is still a 0/1 hit of the same
+cone, but the estimate is scale * mean_k(h_k / n_k) over the shells' hits
+h_k of n_k samples, which is unbiased, with variance
+(scale / 16)^2 sum_k p_k (1 - p_k) / n_k.  Stratifying removes the spread
+of the shells' hit rates from the error, so it is never larger than plain
+hit-or-miss's (Rubinstein & Kroese, Simulation and the Monte Carlo Method,
+ch. 5); inner shells hit more often than outer ones, and on the octants and
+the hyperbolic triangle the variance per sample falls 2 to 4 times.  The
+sampler tests (k + V)^2 w^c <= 256 (1 + CONE)^c: both sides are scaled by
+2^8, which commutes with rounding, so the answer is the same bit for bit.
 
 Every sample hits.  For nu >= 0 with sum(nu) = 1, nu^T G nu is a convex
-combination of the G_ij, so it is at most max G_ij, and a sample, whose
-coefficient sum is at most L, has mu^T G mu <= L^2 max G_ij.  The frame
-keeps top = L^2 (max G_ij + 1e-12 max|G_ij|), the allowance being
-tolerance.FORM_ROUNDING, and when top <= 1 + tolerance.CONE every sample
-the sampler could draw is a hit, so mc_volume counts them without drawing.
-The allowance covers the rounding of the computed form, with unit roundoff
-u and gamma_k = k u / (1 - k u) (Higham, ch. 3): each coefficient
-e_j L / sum(e) takes c + 2 roundings, so the computed coefficients sum to
-at most L (1 + gamma_(c+2)); each term G_ij mu_i mu_j of the form takes at
-most 2c roundings (c in the product with G, in any order, with or without
-fused multiply-adds, one in the product with mu_i and c - 1 in the sum), so
-the computed form exceeds the exact form of the computed coefficients by at
-most gamma_(2c) max|G_ij| sum(mu)^2.  Together the computed form is at most
-L^2 (max G_ij + gamma_(4c+4) max|G_ij|), and top's own four roundings bring
-the need to about (4c + 8) u, below 1e-12 for any c under 2000;
-enumerating the 2^c faces for g* keeps c far smaller.  Where the first
-characteristic is zero and the vertex representatives share the sign of
-their first coordinate, normalize makes every first coordinate exactly 1,
-so G is the all-ones matrix, g* = L = 1, top = 1 + 1e-12 and the region is
-the cone itself.  Raw near-unit vertices, whose first coordinates may
+combination of the G_ij, so it is at most max G_ij, and w is at most
+L^2 max G_ij.  The frame keeps top = L^2 (max G_ij + 1e-12 max|G_ij|), the
+allowance being tolerance.FORM_ROUNDING, and when top <= 1 + tolerance.CONE
+every sample the sampler could draw is a hit, so mc_volume draws none.
+The allowance covers the rounding, with unit roundoff u
+and gamma_k = k u / (1 - k u) (Higham, ch. 3): a spacing takes at most one
+rounding, so the computed nu sum to at most 1 + u; each entry of L^2 G
+takes two; each term of w takes at most 2c more (c in the product with the
+form, in any order, with or without fused multiply-adds, one in the product
+with nu_i and c - 1 in the sum).  So the computed w is at most
+L^2 (max G_ij + gamma_(2c+4) max|G_ij|), and top's own four roundings bring
+the need to about (2c + 8) u, below 1e-12 for any c under 4000;
+enumerating the 2^c faces for g* keeps c far smaller.  As
+L^2 max G_ij >= L^2 g* = 1, top exceeds that bound by nearly 1e-12, so the
+computed w falls short of 1 + CONE by nearly 1e-12, and w^c of
+(1 + CONE)^c by a relative c 1e-12 / (1 + CONE) or so.  The test's own
+roundings (c - 1 in w^c, one in the product with (k + V)^2, which is at
+most 256 after rounding, and two in the bound) move it by about (c + 3) u,
+far less.  Where the first characteristic is zero and the vertex
+representatives share the sign of their first coordinate, normalize makes
+every first coordinate exactly 1, so G is the all-ones matrix,
+g* = L = 1, top = 1 + 1e-12 and the region is the cone itself.  Raw near-unit vertices, whose first coordinates may
 differ by up to about CONE, hold the bound only where those coordinates
 agree to within about CONE / 2; the others are sampled.
 
@@ -64,19 +86,32 @@ first order that moves log sqrt(det(M^T M)) by at most
 ||M^+||_F ||dM||_F <= r c u kappa, with kappa = ||M||_F ||R^-1||_F.  The
 power, the products and the quotient that form the scale add at most c + 3
 roundings of u each.  The floor is scale * (r c kappa + c + 3) * u; it is
-combined in quadrature with the binomial sampling error, so the reported
-stderr is never 0, even at a hit rate of 1.
+combined in quadrature with the stratified sampling error, so the reported
+stderr is never 0, even at a hit rate of 1.  There every shell's rate is 1,
+their sum (math.fsum, correctly rounded) 16 and its sixteenth 1, and the
+spread 0, so the value is the scale itself and the stderr the floor, which
+is what mc_volume returns without drawing when every sample must hit.  At
+other rates the mean's few roundings, relative u each, are far below the
+sampling error.
 
 The sampling frame (G, L, the scale, the rounding floor and top) depends on
 the simplex alone, so it is built once per simplex, on the first mc_volume
 call, and kept with it; later calls only sample.
 
-Layout.  Each chunk of _CHUNK = 2^14 draws is transposed once, so row j
-holds coefficient j of every sample, each sample is one column, and every
-step runs on contiguous rows that stay near cache size.  numpy reduces the
-leading axis of a C-contiguous array row by row, so a sample's terms are
-added in vertex order for any vertex count, and its bits depend neither on
-its chunk nor on the chunk size.
+Layout.  A call reads one stream, c uniforms per sample, sample by sample,
+in chunks of _CHUNK = 2^12 samples, so a sample's uniforms depend neither
+on its chunk nor on the chunk size, and its shell follows its index in the
+call.  Each chunk is transposed once, so row j holds uniform j of every
+sample, each sample is one column, and every step runs on contiguous rows.
+A comparator network sorts the first c - 1 rows (min and max round
+nothing), their differences are nu, and the form's terms are added row by
+row in vertex order, so a sample's bits depend only on its own uniforms.
+Every chunk array is a view of one thread's buffers, kept across calls and
+filled in place (_Work): allocating and freeing a call's chunk arrays (about
+2 MB for chunks of 2^14 samples) let the allocator hand that memory back to
+the system and fault it in again on later calls.  A thread keeps about
+(16c + 17) 2^12 bytes, 0.33 MB for four vertices; chunks of 2^14 samples
+run large calls about a fifth faster, at four times the memory.
 """
 
 from __future__ import annotations
@@ -85,8 +120,9 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,7 +130,8 @@ from . import tolerance
 from .entity import ProjPoint, Space
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
+_SHELLS = 16
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -215,9 +252,15 @@ def _min_gram_on_simplex(G: np.ndarray) -> float:
     meeting point to the face's boundary without leaving the set.  That
     boundary point is stationary on its sub-face too, so by induction down
     to the vertices a smaller face supplies the same value.
+
+    When no entry is below the least diagonal entry, that entry is the
+    minimum and no face is enumerated: mu^T G mu is a convex combination of
+    the G_ij, so it is at least min G_ij, and a vertex attains it.
     """
     size = G.shape[0]
     best = min(float(G[i, i]) for i in range(size))
+    if float(G.min()) >= best:
+        return best
     for r in range(2, size + 1):
         for subset in itertools.combinations(range(size), r):
             value = _face_stationary_value(G[np.ix_(subset, subset)])
@@ -248,22 +291,78 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
     return float(mu @ sub @ mu) if (mu >= -tolerance.FACE_SLACK).all() else None
 
 
-def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> int:
-    """Hits among `samples` uniform draws from the region {mu >= 0, sum(mu) <= reach}."""
+class _Work(threading.local):
+    """One thread's sampling buffers, kept across calls and grown to the
+    largest vertex count and chunk it has seen (see "Layout")."""
+
+    count = chunk = 0
+
+    def fit(self, count: int, chunk: int) -> "_Work":
+        if count > self.count or chunk > self.chunk:
+            self.count, self.chunk = max(count, self.count), max(chunk, self.chunk)
+            self.draws = np.empty(self.count * self.chunk)
+            self.rows = np.empty(self.count * self.chunk)
+            self.spare = np.empty(self.chunk)
+            self.hit = np.empty(self.chunk, dtype=bool)
+            self.shell = np.arange(self.chunk + _SHELLS, dtype=float) % _SHELLS
+        return self
+
+
+_work = _Work()
+
+
+@functools.cache
+def _sorting_network(size: int) -> Tuple[Tuple[int, int], ...]:
+    """Comparators (i, j), i < j, that sort `size` rows elementwise: a bubble
+    sort's size (size - 1) / 2, as few as any network needs up to 3 rows."""
+    return tuple((j, j + 1) for top in range(size - 1, 0, -1) for j in range(top))
+
+
+def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> List[int]:
+    """Hits in each radial shell among `samples` uniform draws from the region
+    {mu >= 0, sum(mu) <= reach}; sample j lies in shell j mod _SHELLS."""
     count = gram.shape[0]
+    form = (reach * reach) * gram
+    # (k + V)^2 w^c <= 256 (1 + CONE)^c is r^2 w^c <= (1 + CONE)^c scaled by 2^8
+    bound = _SHELLS * _SHELLS * (1.0 + tolerance.CONE) ** count
+    work = _work.fit(count, _CHUNK)
+    network = _sorting_network(count - 1)
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits = [0] * _SHELLS
     done = 0
     while done < samples:
         take = min(_CHUNK, samples - done)
-        e = rng.standard_exponential((take, count + 1)).T.copy()
-        mu = e[:count]
-        mu *= reach / e.sum(axis=0)
-        form = gram.T @ mu
-        form *= mu
-        # No coefficient-sum fallback (cone_contains keeps one): mu^T G mu >= g* sum(mu)^2
-        # and g* > NORM_FLOOR, so mu^T G mu <= NORM_FLOOR gives sum(mu) <= 1e-6 reach < 1.
-        hits += int(np.count_nonzero(form.sum(axis=0) <= 1.0 + tolerance.CONE))
+        draws = work.draws[: count * take].reshape(take, count)
+        rng.random(out=draws)
+        coef = work.rows[: count * take].reshape(count, take)
+        np.copyto(coef, draws.T)
+        # sort the first count - 1 rows; their spacings are nu, in draws' memory
+        nu = work.draws[: count * take].reshape(count, take)
+        ranked, spare = list(coef[:-1]), work.spare[:take]
+        for i, j in network:
+            np.minimum(ranked[i], ranked[j], out=spare)
+            np.maximum(ranked[i], ranked[j], out=ranked[j])
+            ranked[i], spare = spare, ranked[i]
+        np.copyto(nu[0], ranked[0])
+        for i in range(1, count - 1):
+            np.subtract(ranked[i], ranked[i - 1], out=nu[i])
+        np.subtract(1.0, ranked[-1], out=nu[-1])
+        # the last row is V: shell radius r = (k + V) / 16, kept as (k + V)^2
+        lift = work.spare[:take]
+        offset = done % _SHELLS
+        np.add(work.shell[offset : offset + take], coef[-1], out=lift)
+        np.multiply(lift, lift, out=lift)
+        np.matmul(form.T, nu, out=coef)
+        w, power = np.multiply(coef[0], nu[0], out=coef[0]), coef[1]
+        for i in range(1, count):
+            np.add(w, np.multiply(coef[i], nu[i], out=coef[i]), out=w)
+        np.multiply(w, w, out=power)
+        for _ in range(count - 2):
+            np.multiply(power, w, out=power)
+        np.multiply(power, lift, out=power)
+        hit = np.less_equal(power, bound, out=work.hit[:take])
+        for k in range(_SHELLS):
+            hits[(offset + k) % _SHELLS] += int(np.count_nonzero(hit[k::_SHELLS]))
         done += take
     return hits
 
@@ -273,12 +372,13 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
 
     Samples are drawn uniformly from the linear simplex {mu >= 0,
     sum(mu) <= L} in vertex coefficients, L = 1/sqrt(g*), which holds the
-    whole cone (see the module docstring).  The hit rate is scaled by
-    count * L^count * sqrt(det(M^T M)) / count!, the region's ambient volume
-    times the vertex count.  Raises DomainError("cone is unbounded") when
-    g* is not positive.
+    whole cone, sample j in radial shell j mod 16 of 16 equal-volume shells
+    (see the module docstring).  The mean of the shells' hit rates is scaled
+    by count * L^count * sqrt(det(M^T M)) / count!, the region's ambient
+    volume times the vertex count; hits is the total.  Raises
+    DomainError("cone is unbounded") when g* is not positive.
 
-    stderr is the binomial sampling error combined (in quadrature) with a
+    stderr is the stratified sampling error combined (in quadrature) with a
     first-order bound on the rounding error of that scale, so it is never 0,
     not even at a hit rate of 1, where the region is the cone itself.  When
     the frame shows that every sample must hit (see the module docstring),
@@ -286,10 +386,10 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
     unused.  The result is the one sampling would give, bit for bit.
 
     Deterministic for a given (samples, seed) pair: one pseudo-random stream
-    consumed in fixed-size chunks, so the count of chunks never changes the
-    draw sequence, and each sample is one column of a coefficient-major
-    chunk whose terms are added in vertex order, so the chunk size changes
-    neither the hits nor the estimate.  Raises DomainError when
+    read sample by sample, each sample's shell set by its index in the call,
+    and each sample one column of a chunk whose terms are added in vertex
+    order, so neither the chunk size nor the thread changes the hits or the
+    estimate.  Raises DomainError when
     samples or seed is not an integer (bool counts as one), samples is below
     1000 or seed is negative, and DimensionMismatch when space is not the
     simplex's space.
@@ -306,9 +406,13 @@ def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -
         raise DimensionMismatch("simplex belongs to a different space")
     _, gram, reach, scale, rounding, top = simplex._frame
     # CONE is read at call time, not stored in the frame
-    hits = samples if top <= 1.0 + tolerance.CONE else _sample_hits(gram, reach, samples, seed)
-
-    rate = hits / samples
-    value = scale * rate
-    stderr = math.hypot(scale * math.sqrt(rate * (1.0 - rate) / samples), rounding)
-    return VolumeEstimate(value, stderr, hits, samples, seed)
+    if top <= 1.0 + tolerance.CONE:
+        # every shell's rate is 1, so their mean is exactly 1 and the spread 0
+        return VolumeEstimate(scale, rounding, samples, samples, seed)
+    hits = _sample_hits(gram, reach, samples, seed)
+    sizes = [samples // _SHELLS + (k < samples % _SHELLS) for k in range(_SHELLS)]
+    rates = [h / n for h, n in zip(hits, sizes)]
+    value = scale * (math.fsum(rates) / _SHELLS)
+    spread = math.fsum(p * (1.0 - p) / n for p, n in zip(rates, sizes))
+    stderr = math.hypot(scale / _SHELLS * math.sqrt(spread), rounding)
+    return VolumeEstimate(value, stderr, sum(hits), samples, seed)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -305,6 +307,52 @@ def test_min_gram_is_at_most_the_grid_minimum():
         assert volume_module._min_gram_on_simplex(G) <= grid_min + slack, G
 
 
+def _enumerated_min_gram(G):
+    """g* from every face's stationary value, with no shortcut."""
+    size = G.shape[0]
+    values = [float(G[i, i]) for i in range(size)]
+    for r in range(2, size + 1):
+        for subset in itertools.combinations(range(size), r):
+            values.append(volume_module._face_stationary_value(G[np.ix_(subset, subset)]))
+    return min(v for v in values if v is not None)
+
+
+def test_min_gram_shortcut_matches_the_enumeration():
+    # no entry below the least diagonal entry: the flat forms (all ones), the
+    # hyperbolic ones (G_ij = cosh d_ij >= 1) and random forms built so
+    forms = []
+    for n in (2, 3, 4, 5):
+        for sig in _flat_signatures(n):
+            forms.append(_flat_simplex(sig, n + 1)[1]._frame[1])
+    assert len(forms) == 120
+    forms.append(REFERENCE_SIMPLEXES["he triangle"]()[1]._frame[1])
+    rng = np.random.default_rng(14)
+    for size in (2, 3, 4, 5, 6):
+        for _ in range(20):
+            A = rng.uniform(0.2, 3.0, (size, size))
+            G = A + A.T
+            np.fill_diagonal(G, rng.uniform(0.0, G.min(), size))
+            forms.append(G)
+    for G in forms:
+        assert float(G.min()) >= float(np.diag(G).min())
+        assert volume_module._min_gram_on_simplex(G) == _enumerated_min_gram(G)
+
+
+def test_a_flat_frame_enumerates_no_face(monkeypatch):
+    calls = []
+    inner = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(volume_module.np.linalg, "lstsq", counted)
+    _flat_simplex((0, 1, -1, 0, 1), 6)[1]._frame
+    assert calls == []
+    octant()._frame  # G = I has entries below its diagonal
+    assert len(calls) == 4
+
+
 def count_min_gram_calls(monkeypatch):
     calls = []
     inner = volume_module._min_gram_on_simplex
@@ -353,15 +401,73 @@ def test_frame_is_built_once_per_simplex(monkeypatch):
 
 
 def test_hits_do_not_depend_on_chunk_size(monkeypatch):
-    whole = mc_volume(EE, octant(), 10_000, 5)
-    monkeypatch.setattr(volume_module, "_CHUNK", 777)
-    chunked = mc_volume(EE, octant(), 10_000, 5)
-    assert (chunked.hits, chunked.value) == (whole.hits, whole.value)
+    # no chunk here is a multiple of 16, so a chunk starts mid-way through
+    # the shells, and each sample's shell must follow its index in the call
+    cases = [REFERENCE_SIMPLEXES[name]() for name in ("ee octant", "he triangle", "eeeee simplex")]
+    whole = [mc_volume(sp, simplex, 10_007, 5) for sp, simplex in cases]
+    for chunk in (777, 1000, 17):
+        monkeypatch.setattr(volume_module, "_CHUNK", chunk)
+        for (sp, simplex), want in zip(cases, whole):
+            got = mc_volume(sp, simplex, 10_007, 5)
+            assert (got.hits, got.value, got.stderr) == (want.hits, want.value, want.stderr), chunk
+
+
+def test_threads_sampling_at_once_match_sequential_calls():
+    # each thread keeps its own work buffers, sized for its vertex count
+    cases = [REFERENCE_SIMPLEXES[name]() for name in ("ee octant", "eeeee simplex")] * 2
+    calls = [(samples, seed) for seed in range(1, 6) for samples in (1_000, 20_001)]
+
+    def run(case):
+        return [mc_volume(*case, samples, seed) for samples, seed in calls]
+
+    want = [run(case) for case in cases]
+    got = [None] * len(cases)
+    start = threading.Barrier(len(cases))
+
+    def worker(i):
+        start.wait()
+        got[i] = run(cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for mine, theirs in zip(got, want):
+        assert [(e.hits, e.value, e.stderr) for e in mine] == [(e.hits, e.value, e.stderr) for e in theirs]
+
+
+LEGS_1 = [[1, 0, 0], [math.cosh(1.0), math.sinh(1.0), 0], [math.cosh(1.0), 0, math.sinh(1.0)]]
+
+
+@pytest.mark.parametrize(
+    "sig, raws, exact",
+    [
+        ("ee", np.eye(3), math.pi / 2),
+        ("he", LEGS_1, math.pi / 2 - 2.0 * math.atan(math.tanh(1.0) / math.sinh(1.0))),
+        ("eee", np.eye(4), math.pi**2 / 8),
+    ],
+    ids=["ee octant", "he legs-1 triangle", "eee octant"],
+)
+def test_reported_stderr_is_calibrated(sig, raws, exact):
+    # over 300 seeds, (value - exact) / stderr must look standard normal: a
+    # caller that pools estimates to a target precision trusts the stderr,
+    # so it may be neither optimistic nor pessimistic
+    sp, simplex = _unit_simplex(sig, raws)
+    z = [(est.value - exact) / est.stderr for est in (mc_volume(sp, simplex, 5_000, seed) for seed in range(300))]
+    assert 0.85 <= float(np.std(z)) <= 1.15
+    assert abs(float(np.mean(z))) <= 0.25
 
 
 def _reference_mc_volume(space, simplex, samples, seed, tol=1e-9):
-    """mc_volume with numpy's row reductions and the coefficient-sum fallback
-    for rows whose squared norm is not above 1e-12."""
+    """mc_volume with the whole stream drawn at once, numpy's row sort and row
+    reductions, and the hit test as the module docstring states it."""
     mat = simplex.matrix()
     rows, count = mat.shape
     gram = mat.T @ (space._Karr[:, None] * mat)
@@ -370,26 +476,33 @@ def _reference_mc_volume(space, simplex, samples, seed, tol=1e-9):
     scale = count * reach**count * abs(float(np.prod(np.diag(R)))) / math.factorial(count)
     kappa = float(np.linalg.norm(mat) * np.linalg.norm(np.linalg.inv(R)))
     rounding = scale * (rows * count * kappa + count + 3) * np.finfo(float).eps / 2.0
-    rng = np.random.default_rng(seed)
-    hits = done = 0
-    while done < samples:
-        take = min(volume_module._CHUNK, samples - done)
-        e = rng.standard_exponential((take, count + 1))
-        mu = e[:, :count]
-        mu *= (reach / e.sum(axis=1))[:, None]
-        qvals = ((mu @ gram) * mu).sum(axis=1)
-        inside = np.where(qvals > 1e-12, qvals <= 1.0 + tol, mu.sum(axis=1) <= 1.0 + tol)
-        hits += int(np.count_nonzero(inside))
-        done += take
-    rate = hits / samples
-    stderr = math.hypot(scale * math.sqrt(rate * (1.0 - rate) / samples), rounding)
-    return hits, scale * rate, stderr
+    u = np.random.default_rng(seed).random((samples, count))
+    inside = _reference_test_values(u, gram, reach) <= (1.0 + tol) ** count
+    hits = [int(np.count_nonzero(inside[k::16])) for k in range(16)]
+    sizes = [len(inside[k::16]) for k in range(16)]
+    rates = [h / n for h, n in zip(hits, sizes)]
+    spread = math.fsum(p * (1.0 - p) / n for p, n in zip(rates, sizes))
+    stderr = math.hypot(scale / 16 * math.sqrt(spread), rounding)
+    return sum(hits), scale * (math.fsum(rates) / 16), stderr
+
+
+def _reference_test_values(u, gram, reach):
+    """r^2 w^c for each row of c uniforms: nu from the sorted first c - 1,
+    r = (j mod 16 + V) / 16 for row j and its last uniform V."""
+    count = u.shape[1]
+    nu = np.diff(np.sort(u[:, :-1], axis=1), prepend=0.0, append=1.0, axis=1)
+    w = ((nu @ ((reach * reach) * gram)) * nu).sum(axis=1)
+    power = w * w
+    for _ in range(count - 2):
+        power = power * w
+    r = (np.arange(len(u)) % 16 + u[:, -1]) / 16
+    return (r * r) * power
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_row_sums_match_numpy_on_narrow_rows(k):
-    # mc_volume sums a sample's k terms as axis 0 of the transposed chunk;
-    # numpy adds those rows in order, so that is the left-to-right row sum for
+    # mc_volume adds a sample's k terms row by row in vertex order, as numpy
+    # reduces axis 0 of the transposed chunk: the left-to-right row sum for
     # every k, and for k < 8 also numpy's own row sum (its pairwise sum
     # reorders from 8 columns on), which _reference_mc_volume relies on.
     rng = np.random.default_rng(k)
@@ -442,22 +555,36 @@ def test_estimates_match_the_reference_loop(monkeypatch, name, chunk):
         assert (est.hits, est.value, est.stderr) == _reference_mc_volume(sp, simplex, samples, seed)
 
 
+def _cone_for_threshold(edge, count):
+    """A CONE whose hit threshold (1 + CONE)^count is exactly `edge`, or None."""
+    base = edge ** (1.0 / count) - 1.0
+    for step in range(-8, 9):
+        cone = base + step * np.finfo(float).eps
+        if (1.0 + cone) ** count == edge:
+            return cone
+    return None
+
+
 @pytest.mark.parametrize("name", ["ee octant", "eeee simplex", "eeeee simplex"])
 def test_hit_test_sees_the_reference_forms_bit_for_bit(monkeypatch, name):
-    # A last-bit change in a sample's form rarely moves a hit, so the
-    # reference-loop test above cannot see one.  A hit count at a threshold
-    # equal to a form value of the row layout, or one ulp below it, can:
-    # 1 + (t - 1) is exactly t for t in [0.5, 2].
+    # A last-bit change in a sample's test value r^2 w^c rarely moves a hit,
+    # so the reference-loop test above cannot see one.  A hit count at a
+    # threshold equal to a test value of the reference, or one ulp below it,
+    # can.  Thresholds are (1 + CONE)^c, so only the edges that some CONE
+    # reaches exactly are used.
     sp, simplex = REFERENCE_SIMPLEXES[name]()
     count, gram, reach = simplex._frame[:3]
-    e = np.random.default_rng(1).standard_exponential((3_000, count + 1))
-    mu = e[:, :count] * (reach / e.sum(axis=1))[:, None]
-    q = ((mu @ gram) * mu).sum(axis=1)
+    q = _reference_test_values(np.random.default_rng(1).random((3_000, count)), gram, reach)
     near = np.sort(q[(q >= 0.5) & (q <= 2.0)])
-    for t in near[:: max(1, len(near) // 60)]:
+    checked = 0
+    for t in near[:: max(1, len(near) // 300)]:
         for edge in (t, np.nextafter(t, 0.0)):
-            monkeypatch.setattr(volume_module.tolerance, "CONE", edge - 1.0)
-            assert mc_volume(sp, simplex, 3_000, 1).hits == np.count_nonzero(q <= edge)
+            cone = _cone_for_threshold(float(edge), count)
+            if cone is not None:
+                monkeypatch.setattr(volume_module.tolerance, "CONE", cone)
+                assert mc_volume(sp, simplex, 3_000, 1).hits == np.count_nonzero(q <= edge)
+                checked += 1
+    assert checked >= 30
 
 
 def _flat_signatures(n):
@@ -586,18 +713,19 @@ def test_only_the_flat_reference_simplex_is_certified():
 
 
 def test_peak_memory_is_bounded_by_the_chunk():
-    # 10^6 samples of a six-vertex simplex: 62 chunks of 2^14 samples, whose
-    # arrays are freed between chunks, so the peak is about two chunks' worth
-    # (3.5 MB); the row layout with 2^17-sample chunks peaked at 21 MB
+    # 10^6 samples of a six-vertex simplex: 245 chunks of 2^12 samples, each
+    # array a view of the thread's buffers (0.46 MB), so the call allocates
+    # almost nothing (7 kB); fresh arrays for each 2^14-sample chunk peaked
+    # at 3.5 MB, and the row layout with 2^17-sample chunks at 21 MB
     sp, simplex = REFERENCE_SIMPLEXES["eeeee simplex"]()
-    mc_volume(sp, simplex, 1_000, 1)  # builds the frame
+    mc_volume(sp, simplex, 1_000, 1)  # builds the frame and the buffers
     tracemalloc.start()
     try:
         mc_volume(sp, simplex, 1_000_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 1e5
 
 
 def test_estimate_dict_shape():
