@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .entity import MPlane, ProjPoint, Space
+from .entity import MPlane, Space
 from .errors import DomainError, GeometryError, NonDivisible
 from .metric import _measure_rows, angle, distance, law_residuals, measure_triangle, triangle_from_sas
 from .transform import (
@@ -80,7 +80,7 @@ def _space(args) -> Space:
         raise _UsageError("--space: %s" % exc) from exc
 
 
-def _point(space: Space, text: str, what: str) -> ProjPoint:
+def _point(space: Space, text: str, what: str) -> np.ndarray:
     return space.normalize(_parse_floats(text.split(","), space.n + 1, what))
 
 
@@ -217,8 +217,7 @@ def _cmd_transform(args) -> str:
         applied = {}
         if "points" in data:
             applied["points"] = [
-                list(apply_point(g, _floats(p, "--apply")).coords)
-                for p in data["points"]
+                list(apply_point(g, _floats(p, "--apply"))) for p in data["points"]
             ]
         if "planes" in data:
             applied["planes"] = [

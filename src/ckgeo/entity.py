@@ -1,6 +1,8 @@
 """Points on the unit shell and m-planes, with their weighted products.
 
-A point is a vector x with x (.) x = sum K_i x_i^2 = 1.  An m-plane is the
+A point is a float array whose last axis holds its n+1 coordinates, with
+x (.) x = sum K_i x_i^2 = 1; the library returns points read-only, and one
+row and a stack of rows go through the same products.  An m-plane is the
 column span of the first m+1 columns of a generalized orthogonal matrix,
 represented by the (n+1) x (m+1) column matrix itself; products of planes are
 computed from their maximal minors with the exact coefficient tables from
@@ -29,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "Imaginary",
-    "ProjPoint",
     "MPlane",
     "Space",
     "CrossValue",
@@ -44,38 +45,6 @@ class Imaginary:
 
 
 CrossValue = Union[float, Imaginary]
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, ProjPoint):
-        return x.coords
-    return np.asarray(x, dtype=float)
-
-
-class ProjPoint:
-    """A representative vector of a point; construction does not normalize."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionMismatch("point coordinates must be a flat vector")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords) - 1
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __repr__(self):
-        return "ProjPoint(%s)" % (list(self.coords),)
 
 
 class MPlane:
@@ -169,7 +138,7 @@ class Space:
     # -- points ---------------------------------------------------------
 
     def _vec(self, x) -> np.ndarray:
-        arr = _as_vector(x)
+        arr = np.asarray(x, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] != len(self.K):
             raise DimensionMismatch(
                 "expected %d coordinates, got shape %s" % (self.n + 1, arr.shape)
@@ -210,9 +179,9 @@ class Space:
         representative is fixed so its first significant coordinate is > 0.
         A vector with a coordinate above tolerance.ENTRY_LIMIT in magnitude
         is divided by its largest one before squaring, and an error reports
-        that vector's self-product.  A stack of vectors (any leading axes)
-        gives a read-only array of unit rows, or the error of its first bad
-        row.
+        that vector's self-product.  One vector gives a read-only unit row
+        and a stack of vectors (any leading axes) a read-only array of unit
+        rows, or the error of its first bad row.
         """
         arr = self._vec(raw)
         points = rows = arr.reshape(-1, self.n + 1)
@@ -234,10 +203,7 @@ class Space:
         # Canonical sign: the first coordinate above SIGN_CUT of the peak is > 0.
         lead = (mags > tolerance.SIGN_CUT * peak).argmax(axis=1)
         sign = np.where(rows[np.arange(len(rows)), lead] < 0.0, -1.0, 1.0)
-        unit = rows / (sign * np.sqrt(q))[:, None]
-        if arr.ndim == 1:
-            return ProjPoint(unit[0])
-        unit = unit.reshape(arr.shape)
+        unit = (rows / (sign * np.sqrt(q))[:, None]).reshape(arr.shape)
         unit.setflags(write=False)
         return unit
 
@@ -308,7 +274,7 @@ class Space:
 
     # -- constructions ----------------------------------------------------
 
-    def line_through(self, x: ProjPoint, y: ProjPoint) -> MPlane:
+    def line_through(self, x, y) -> MPlane:
         """The line joining two unit points with real, nonzero separation.
 
         The second column is the direction of y seen from x, scaled by the
@@ -318,7 +284,7 @@ class Space:
         u = self.direction(x, y)
         return MPlane(self, np.column_stack([self._vec(x), u]))
 
-    def direction(self, x: ProjPoint, y: ProjPoint) -> np.ndarray:
+    def direction(self, x, y) -> np.ndarray:
         """Unit direction vector at x pointing toward y; row-wise on stacks.
 
         On a stack, the first pair without a real, nonzero cross product

@@ -274,15 +274,10 @@ class ProductArrays:
 @lru_cache(maxsize=None)
 def product_arrays(sig: Tuple[int, ...], m: int) -> ProductArrays:
     """ProductArrays of a (signature, m) combination, built once per process."""
-    if m == 0:
-        tuples = tuple((i,) for i in range(len(sig) + 1))
-        weights = cumulative_products(sig)
-        cross = point_cross_table(sig)
-    else:
-        tuples, dot, cross = plane_tables(sig, m)
-        weights = [dot[t] for t in tuples]
-        position = {t: p for p, t in enumerate(tuples)}
-        cross = {(position[a], position[b]): coeff for (a, b), coeff in cross.items()}
+    tuples, dot, cross = plane_tables(sig, m)
+    weights = [dot[t] for t in tuples]
+    position = {t: p for p, t in enumerate(tuples)}
+    cross = {(position[a], position[b]): coeff for (a, b), coeff in cross.items()}
     pairs = [(a, b, coeff) for (a, b), coeff in cross.items() if coeff != 0]
     lo = [a for a, _, _ in pairs]
     hi = [b for _, b, _ in pairs]

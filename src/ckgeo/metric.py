@@ -27,7 +27,7 @@ from typing import Dict
 import numpy as np
 
 from . import kernel, tolerance
-from .entity import Imaginary, MPlane, ProjPoint, Space, _direction, _require_finite, _root, _scalar
+from .entity import Imaginary, MPlane, Space, _direction, _require_finite, _root, _scalar
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -73,7 +73,7 @@ def _measure_pair(k: int, c, s, level: int):
     return measures if np.ndim(s) else measures[0]
 
 
-def distance(space: Space, x: ProjPoint, y: ProjPoint):
+def distance(space: Space, x, y):
     """Level-1 measure between unit points.
 
     On two (N, n+1) stacks of unit points it gives the list of the N
@@ -82,16 +82,21 @@ def distance(space: Space, x: ProjPoint, y: ProjPoint):
     return _measure_pair(space.sig[0], *space._point_products(x, y), 1)
 
 
-def identified_distance(space: Space, x: ProjPoint, y: ProjPoint) -> float:
+def identified_distance(space: Space, x, y):
     """Distance after antipodal identification; only defined when k_1 = 1.
 
     The primary distance lives on the double cover (representatives, not
-    antipodal classes); this helper folds it to min(phi, pi - phi).
+    antipodal classes); this helper folds a real one to min(phi, pi - phi).
+    An imaginary one is measured from |dot|, the same for both
+    representatives, so it is already a class distance and is kept.  On two
+    (N, n+1) stacks of unit points it gives the list of the N folded values.
     """
     if space.sig[0] != 1:
         raise DomainError("antipodal identification needs k_1 = 1")
-    phi = distance(space, x, y).value
-    return min(phi, math.pi - phi)
+    c, s = space._point_products(x, y)
+    rows = _measure_rows(1, c, s)
+    folded = [min(phi, math.pi - phi) if kind == "real" else phi for phi, kind in rows]
+    return folded if np.ndim(s) else folded[0]
 
 
 def angle(space: Space, X: MPlane, Y: MPlane):
@@ -133,27 +138,36 @@ _PAIR_FROM, _PAIR_TO = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1]
 _PAIR_SIDE = np.array([0, 1, 0, 2, 1, 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triangle:
     """Three pairwise separated unit points in a planar (n = 2) space.
 
-    Construction forms the point cross products of the sides AB, AC and BC
-    in one cross_points call and keeps them, with the side rows, for
-    measure_triangle.  A side whose cross radicand is not finite raises
-    DomainError; one whose cross product is not real and nonzero raises
-    DegenerateTriangle (the first such side, in the order AB, AC, BC).
+    A, B and C are stored as the read-only rows of one vertex array; a
+    vertex that is not a single point of n+1 coordinates raises
+    DimensionMismatch.  Construction forms the point cross products of the
+    sides AB, AC and BC in one cross_points call and keeps them, with the
+    side rows, for measure_triangle.  A side whose cross radicand is not
+    finite raises DomainError; one whose cross product is not real and
+    nonzero raises DegenerateTriangle (the first such side, in the order AB,
+    AC, BC).
     """
 
     space: Space
-    A: ProjPoint
-    B: ProjPoint
-    C: ProjPoint
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
 
     def __post_init__(self):
         sp = self.space
         if sp.n != 2:
             raise DimensionMismatch("triangles need a planar space (n = 2)")
-        vertices = np.array([sp._vec(p) for p in (self.A, self.B, self.C)])
+        points = [sp._vec(p) for p in (self.A, self.B, self.C)]
+        if any(p.ndim != 1 for p in points):
+            raise DimensionMismatch("a triangle vertex must be one point, not a stack")
+        vertices = np.array(points)
+        vertices.setflags(write=False)
+        for name, row in zip("ABC", vertices):
+            object.__setattr__(self, name, row)
         x, y = vertices.take(_SIDE_FROM, axis=0), vertices.take(_SIDE_TO, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             roots = sp.cross_points(x, y)
@@ -227,7 +241,7 @@ def triangle_from_sas(space: Space, b: float, alpha: float, c: float) -> Triangl
     # The plain-float test (false for NaN) costs a fifth of _require_finite, which names the entry.
     if not all(abs(v) <= tolerance.ENTRY_LIMIT for v in B + C):
         _require_finite(np.array([B, C]), "vertex coordinate", tolerance.ENTRY_LIMIT)
-    return Triangle(space, ProjPoint([1.0, 0.0, 0.0]), ProjPoint(B), ProjPoint(C))
+    return Triangle(space, [1.0, 0.0, 0.0], B, C)
 
 
 def _angles_between_rays(space: Space, vertices, rays) -> list:
@@ -474,9 +488,7 @@ def right_triangle_residuals(space: Space, a: float, b: float) -> RightTriangleR
     k1, k2 = space.sig
     if k2 != 1:
         raise DomainError("right triangle identities need k_2 = 1")
-    base = np.zeros(3)
-    base[0] = 1.0
-    V_C = ProjPoint(base)
+    V_C = np.array([1.0, 0.0, 0.0])
     V_A = apply_point(givens(space, 0, 1, b), V_C)
     V_B = apply_point(givens(space, 0, 2, a), V_C)
 
@@ -484,9 +496,9 @@ def right_triangle_residuals(space: Space, a: float, b: float) -> RightTriangleR
     # refuses; the legs' own distances below cannot overflow if these did not.
     with np.errstate(over="ignore", invalid="ignore"):
         c = distance(space, V_A, V_B).value
-        vertices = np.array([V_A.coords, V_B.coords])
-        u = space.direction(vertices, np.array([V_C.coords, V_C.coords]))
-        v = space.direction(vertices, np.array([V_B.coords, V_A.coords]))
+        vertices = np.array([V_A, V_B])
+        u = space.direction(vertices, np.array([V_C, V_C]))
+        v = space.direction(vertices, np.array([V_B, V_A]))
         alpha, beta = _angles_between_rays(space, vertices, np.stack([u, v], axis=1))
     if alpha.kind != "real" or beta.kind != "real":
         raise DomainError("right triangle angles came back imaginary")

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import tolerance
-from .entity import MPlane, ProjPoint, Space, _column_targets, _require_finite
+from .entity import MPlane, Space, _column_targets, _require_finite
 from .errors import DimensionMismatch, DomainError
 from .gtrig import gcos, gsin
 
@@ -142,18 +142,20 @@ def from_word(space: Space, word: Sequence[Generator]) -> GOrthoTransform:
     return GOrthoTransform(space, mat, tuple(word))
 
 
-def apply_point(g: GOrthoTransform, x) -> ProjPoint:
+def apply_point(g: GOrthoTransform, x) -> np.ndarray:
     """Apply the transform to a point; the unit self-product is preserved.
 
     The representative sign is taken as-is (no re-canonicalization), since
     flipping signs after the fact would not commute with the group action.
-    A non-finite coordinate raises DomainError.
+    The image is a read-only row; a non-finite coordinate raises DomainError.
     """
-    vec = x.coords if isinstance(x, ProjPoint) else np.asarray(x, dtype=float)
+    vec = np.asarray(x, dtype=float)
     if vec.shape != (g.space.n + 1,):
         raise DimensionMismatch("point has wrong coordinate count")
     _require_finite(vec, "point coordinate")
-    return ProjPoint(g.matrix @ vec)
+    out = g.matrix @ vec
+    out.setflags(write=False)
+    return out
 
 
 def apply_plane(g: GOrthoTransform, X: MPlane) -> MPlane:

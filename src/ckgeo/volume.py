@@ -127,7 +127,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tolerance
-from .entity import ProjPoint, Space
+from .entity import Space
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
 _CHUNK = 1 << 12
@@ -135,20 +135,24 @@ _SHELLS = 16
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicSimplex:
     """Simplex spanned by unit points with pairwise real separations.
 
-    The cone construction uses the vertex representatives exactly as given;
+    The vertices are kept as read-only float copies of the points given.  The
+    cone construction uses the vertex representatives exactly as given;
     flipping a representative's sign selects the opposite cone.
     """
 
     space: Space
-    vertices: Tuple[ProjPoint, ...]
+    vertices: Tuple[np.ndarray, ...]
 
-    def __init__(self, space: Space, vertices: Sequence[ProjPoint]):
+    def __init__(self, space: Space, vertices: Sequence):
+        rows = tuple(np.array(v, dtype=float) for v in vertices)
+        for row in rows:
+            row.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "vertices", rows)
         self._validate()
 
     def _validate(self) -> None:
@@ -158,8 +162,8 @@ class GeodesicSimplex:
                 "need between 2 and %d vertices, got %d" % (n + 1, len(self.vertices))
             )
         for v in self.vertices:
-            if v.n != n:
-                raise DimensionMismatch("vertex dimension %d does not match space" % v.n)
+            if v.shape != (n + 1,):
+                raise DimensionMismatch("vertex has shape %s, expected (%d,)" % (v.shape, n + 1))
             q = self.space.dot_points(v, v)
             if abs(q - 1.0) > tolerance.CONE * max(1.0, abs(q)):
                 raise DomainError("vertex is not a unit point (self dot %r)" % (q,))
@@ -176,7 +180,7 @@ class GeodesicSimplex:
 
     def matrix(self) -> np.ndarray:
         """Vertex coordinates as columns, shape (n+1, vertex count)."""
-        return np.column_stack([v.coords for v in self.vertices])
+        return np.column_stack(self.vertices)
 
     @functools.cached_property
     def _frame(self) -> Tuple[int, np.ndarray, float, float, float, float]:
@@ -304,7 +308,7 @@ class _Work(threading.local):
             self.rows = np.empty(self.count * self.chunk)
             self.spare = np.empty(self.chunk)
             self.hit = np.empty(self.chunk, dtype=bool)
-            self.shell = np.arange(self.chunk + _SHELLS, dtype=float) % _SHELLS
+            self.shell = np.arange(self.chunk + _SHELLS) % _SHELLS
         return self
 
 
@@ -328,7 +332,7 @@ def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> Lis
     work = _work.fit(count, _CHUNK)
     network = _sorting_network(count - 1)
     rng = np.random.default_rng(seed)
-    hits = [0] * _SHELLS
+    hits = np.zeros(_SHELLS)  # whole numbers, exact in floats below 2^53 samples
     done = 0
     while done < samples:
         take = min(_CHUNK, samples - done)
@@ -350,7 +354,8 @@ def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> Lis
         # the last row is V: shell radius r = (k + V) / 16, kept as (k + V)^2
         lift = work.spare[:take]
         offset = done % _SHELLS
-        np.add(work.shell[offset : offset + take], coef[-1], out=lift)
+        shell = work.shell[offset : offset + take]
+        np.add(shell, coef[-1], out=lift)
         np.multiply(lift, lift, out=lift)
         np.matmul(form.T, nu, out=coef)
         w, power = np.multiply(coef[0], nu[0], out=coef[0]), coef[1]
@@ -361,10 +366,9 @@ def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> Lis
             np.multiply(power, w, out=power)
         np.multiply(power, lift, out=power)
         hit = np.less_equal(power, bound, out=work.hit[:take])
-        for k in range(_SHELLS):
-            hits[(offset + k) % _SHELLS] += int(np.count_nonzero(hit[k::_SHELLS]))
+        hits += np.bincount(shell, weights=hit, minlength=_SHELLS)
         done += take
-    return hits
+    return hits.astype(int).tolist()
 
 
 def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -> VolumeEstimate:

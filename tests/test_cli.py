@@ -454,6 +454,17 @@ def test_volume_of_the_criterion_6_triangle_is_byte_stable(capsys):
     assert out == '{"hits": 1000000, "samples": 1000000, "stderr": 4.081840020524353e-14, "volume": 6.0}\n'
 
 
+def test_volume_refuses_a_nested_vertex(capsys):
+    # [[1,0,0]] normalizes to a stack of one row, which is not a vertex
+    code, out, err = run(
+        capsys, "volume", "--space", "ee", "--vertices", "[[[1,0,0]],[0,1,0],[0,0,1]]",
+        "--samples", "1000",
+    )
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DimensionMismatch"
+
+
 # -- transform ---------------------------------------------------------------
 
 

@@ -160,15 +160,15 @@ def test_root_matches_the_reference_formula():
 def test_normalize_scales_to_unit():
     sp = Space("ee")
     p = sp.normalize([2.0, 0.0, 0.0])
-    assert list(p.coords) == [1.0, 0.0, 0.0]
+    assert list(p) == [1.0, 0.0, 0.0]
 
 
 def test_normalize_canonical_sign():
     sp = Space("ee")
     a = sp.normalize([0.0, -0.7, 0.2])
     b = sp.normalize([0.0, 0.7, -0.2])
-    assert np.allclose(a.coords, b.coords)
-    assert a.coords[1] > 0
+    assert np.allclose(a, b)
+    assert a[1] > 0
 
 
 def test_normalize_on_absolute():
@@ -187,7 +187,7 @@ def test_normalize_negative_norm_keeps_value():
 def test_normalize_euclidean_sheet():
     sp = Space("pe")
     p = sp.normalize([-2.0, 4.0, 6.0])
-    assert list(p.coords) == [1.0, -2.0, -3.0]
+    assert list(p) == [1.0, -2.0, -3.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -207,19 +207,20 @@ def test_normalize_stack_matches_points():
         keep = []
         for row in raw:
             try:
-                keep.append((row, sp.normalize(row).coords))
+                keep.append((row, sp.normalize(row)))
             except (NegativeNorm, OnAbsolute):
                 pass
         stack = sp.normalize(np.array([row for row, _ in keep]))
         assert not stack.flags.writeable
+        assert not keep[0][1].flags.writeable
         assert np.array_equal(stack, np.array([unit for _, unit in keep]))
         grid = sp.normalize(np.array([row for row, _ in keep[:4]]).reshape(2, 2, sp.n + 1))
         assert np.array_equal(grid.reshape(4, sp.n + 1), stack[:4])
 
 
 def test_normalize_divides_huge_rows_by_their_peak():
-    assert list(Space("he").normalize([1e200, 0.0, 0.0]).coords) == [1.0, 0.0, 0.0]
-    assert list(Space("ee").normalize([0.0, -3e200, 4e200]).coords) == [0.0, 0.6, -0.8]
+    assert list(Space("he").normalize([1e200, 0.0, 0.0])) == [1.0, 0.0, 0.0]
+    assert list(Space("ee").normalize([0.0, -3e200, 4e200])) == [0.0, 0.6, -0.8]
     with pytest.raises(OnAbsolute):
         Space("he").normalize([1e200, 1e200, 0.0])
 
@@ -234,7 +235,7 @@ def test_normalize_keeps_ordinary_rows_beside_huge_ones():
         alone = []
         for row in rows:
             try:
-                alone.append(sp.normalize(row).coords)
+                alone.append(sp.normalize(row))
             except (OnAbsolute, NegativeNorm):
                 alone.append(None)
         keep = [i for i, unit in enumerate(alone) if unit is not None]

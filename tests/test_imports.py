@@ -1,5 +1,6 @@
-"""Every name a ckgeo module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a ckgeo module imports is used in that module, every private
+module-level name is used somewhere in the package, and every name a module
+lists in __all__ is defined in it.
 
 No linter ships with the project, so this walks the package sources with
 ast.  Names a module lists in __all__ are re-exports and count as used.
@@ -107,3 +108,48 @@ def test_checker_flags_a_dead_private_name():
     )
     user = ast.parse("import mod\nmod._helper()\n_Hidden = None\n")
     assert set(_private_definitions(mod)) - _loaded([mod, user]) == {"_SPARE", "_dead", "_Hidden"}
+
+
+def _exported(tree: ast.Module) -> list:
+    """The names listed in the module's __all__ (empty when it has none)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _bound(tree: ast.Module) -> set:
+    """Every name the module binds at its top level: definitions, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exported_names_are_defined(path):
+    tree = TREES[path]
+    missing = [name for name in _exported(tree) if name not in _bound(tree)]
+    assert not missing, "%s lists names in __all__ it does not define: %s" % (
+        path.name,
+        ", ".join(missing),
+    )
+
+
+def test_checker_flags_a_stale_export():
+    tree = ast.parse(
+        "from x import a\nimport y.z\nB: int = 1\nC = D = 2\n"
+        "def e():\n    f = 3\nclass G:\n    h = 4\n"
+        "__all__ = ['a', 'y', 'B', 'C', 'D', 'e', 'f', 'G', 'h', 'gone']\n"
+    )
+    assert [name for name in _exported(tree) if name not in _bound(tree)] == ["f", "h", "gone"]

@@ -13,7 +13,6 @@ from ckgeo import (
     GeometryError,
     MPlane,
     NoSolution,
-    ProjPoint,
     Space,
     Measure,
     Triangle,
@@ -77,7 +76,7 @@ def test_distance_imaginary_kind_uses_dual_characteristic():
     sp = Space((1, -1))
     t = 0.9
     x = sp.normalize([1.0, 0.0, 0.0])
-    y = ProjPoint([math.cosh(t), 0.0, math.sinh(t)])
+    y = np.array([math.cosh(t), 0.0, math.sinh(t)])
     d = distance(sp, x, y)
     assert d.kind == "imaginary"
     assert d.value == pytest.approx(t, rel=1e-12)
@@ -92,7 +91,7 @@ def test_distance_on_stacks_lists_row_measures():
     assert [m.kind for m in got] == ["real", "imaginary", "real"]
     assert all(type(m.value) is float for m in got)
     assert got[1].value == pytest.approx(t, rel=1e-12)
-    assert got == [distance(sp, ProjPoint(x), ProjPoint(y)) for x, y in zip(X, Y)]
+    assert got == [distance(sp, np.array(x), np.array(y)) for x, y in zip(X, Y)]
 
 
 def test_angle_on_plane_stacks_matches_planes():
@@ -130,9 +129,9 @@ def test_stack_with_unmeasurable_rows_raises_the_first_rows_error():
     sp = Space("he")
     x = np.array([[1.0, 0.0, 0.0]] * 3)
     y = np.array([branch(1.0, 0.2) + [0.0], branch(-1.0, 0.7) + [0.0], branch(-1.0, 0.5) + [0.0]])
-    first = _error(distance, sp, ProjPoint(x[1]), ProjPoint(y[1]))
+    first = _error(distance, sp, np.array(x[1]), np.array(y[1]))
     assert first[0] is DomainError
-    assert _error(distance, sp, x, y) == first != _error(distance, sp, ProjPoint(x[2]), ProjPoint(y[2]))
+    assert _error(distance, sp, x, y) == first != _error(distance, sp, np.array(x[2]), np.array(y[2]))
 
     sp = Space("eh")  # lines through the base point, rotated in the hyperbolic (1, 2) block
     X = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]] * 3)
@@ -146,9 +145,33 @@ def test_stack_with_unmeasurable_rows_raises_the_first_rows_error():
 
 def test_identified_distance_takes_shorter_arc():
     x = EE.normalize([1.0, 0.0, 0.0])
-    y = ProjPoint([-0.6, 0.8, 0.0])
+    y = np.array([-0.6, 0.8, 0.0])
     assert distance(EE, x, y).value == pytest.approx(math.acos(-0.6))
     assert identified_distance(EE, x, y) == pytest.approx(math.acos(0.6))
+
+
+def test_identified_distance_folds_stacks_row_by_row():
+    rng = np.random.default_rng(23)
+    for sig in ("ee", "ep", "eh", "eee", "ehp"):
+        sp = Space(sig)
+        raw = rng.uniform(-1.0, 1.0, (2, 40, sp.n + 1))
+        raw[:, :, 0] = 2.0  # a positive self-product in every signature
+        x, y = sp.normalize(raw[0]), sp.normalize(raw[1])
+        y = y * rng.choice((-1.0, 1.0), (40, 1))  # both sides of pi/2
+        folded = identified_distance(sp, x, y)
+        assert folded == [identified_distance(sp, a, b) for a, b in zip(x, y)]
+        assert any(m.value > math.pi / 2 for m in distance(sp, x, y))
+
+
+def test_identified_distance_keeps_imaginary_separations():
+    # measured from |dot|, an imaginary separation is the same for x and -x
+    sp = Space("eh")
+    x = sp.normalize([1.0, 0.0, 0.0])
+    for t in (0.3, 2.0, 4.0):
+        y = sp.normalize([math.cosh(t), 0.0, math.sinh(t)])
+        d = distance(sp, x, y)
+        assert d.kind == "imaginary" and d.value == pytest.approx(t)
+        assert identified_distance(sp, x, y) == identified_distance(sp, x, -y) == d.value
 
 
 def test_identified_distance_needs_elliptic_start():
@@ -231,7 +254,19 @@ def test_triangle_needs_planar_space():
 )
 def test_triangle_refuses_a_non_finite_side_radicand(sig, points, want):
     with pytest.raises(DomainError, match=want):
-        Triangle(Space(sig), *(ProjPoint(p) for p in points))
+        Triangle(Space(sig), *(np.array(p) for p in points))
+
+
+def test_triangle_keeps_its_vertices_as_read_only_rows():
+    given = [np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], (0.0, 0.0, 1.0)]
+    tri = Triangle(EE, *given)
+    assert all(not v.flags.writeable for v in (tri.A, tri.B, tri.C))
+    given[0][1] = 5.0
+    assert np.array_equal(np.array([tri.A, tri.B, tri.C]), np.eye(3))
+    # equality and hashing are by identity, as for any object
+    assert tri == tri and tri != Triangle(EE, tri.A, tri.B, tri.C) and hash(tri) == object.__hash__(tri)
+    with pytest.raises(DimensionMismatch):
+        Triangle(EE, [[1.0, 0.0, 0.0]], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def _sweep_values(rng, top):

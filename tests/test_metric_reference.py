@@ -23,7 +23,6 @@ from ckgeo import (
     Imaginary,
     Measure,
     MPlane,
-    ProjPoint,
     Space,
     Triangle,
     TriangleMeasurements,
@@ -51,11 +50,11 @@ PLANAR_SIGS = [(k1, k2) for k1 in (1, 0, -1) for k2 in (1, 0, -1)]
 def reference_triangle_from_sas(space, b, alpha, c):
     """The coordinates of B and C (rows 0 and 1) as givens, compose and
     apply_point build them."""
-    A = ProjPoint([1.0, 0.0, 0.0])
+    A = np.array([1.0, 0.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         B = apply_point(givens(space, 0, 1, c), A)
         C = apply_point(compose(givens(space, 1, 2, alpha), givens(space, 0, 1, b)), A)
-    coords = np.array([B.coords, C.coords])
+    coords = np.array([B, C])
     _require_finite(coords, "vertex coordinate", tolerance.ENTRY_LIMIT)
     return coords
 
@@ -68,7 +67,7 @@ def reference_angles_between_rays(sp, vertices, u, v):
 
 def reference_measure_triangle(tri):
     sp = tri.space
-    A, B, C = tri.A.coords, tri.B.coords, tri.C.coords
+    A, B, C = tri.A, tri.B, tri.C
     a, b, c = distance(sp, np.array([B, A, A]), np.array([C, C, B]))
     to_B, to_C, to_A_at_B, toward_C, to_A, to_B2 = sp.direction(
         np.array([A, A, B, B, C, C]), np.array([B, C, A, C, A, B])
@@ -81,14 +80,14 @@ def reference_measure_triangle(tri):
 
 def reference_right_triangle_residuals(space, a, b):
     k1 = space.sig[0]
-    V_C = ProjPoint([1.0, 0.0, 0.0])
+    V_C = np.array([1.0, 0.0, 0.0])
     V_A = apply_point(givens(space, 0, 1, b), V_C)
     V_B = apply_point(givens(space, 0, 2, a), V_C)
     with np.errstate(over="ignore", invalid="ignore"):
         c = distance(space, V_A, V_B).value
-        vertices = np.array([V_A.coords, V_B.coords])
-        u = space.direction(vertices, np.array([V_C.coords, V_C.coords]))
-        v = space.direction(vertices, np.array([V_B.coords, V_A.coords]))
+        vertices = np.array([V_A, V_B])
+        u = space.direction(vertices, np.array([V_C, V_C]))
+        v = space.direction(vertices, np.array([V_B, V_A]))
         alpha, beta = reference_angles_between_rays(space, vertices, u, v)
     if alpha.kind != "real" or beta.kind != "real":
         raise DomainError("right triangle angles came back imaginary")
@@ -271,7 +270,7 @@ def test_overflowing_triangles_match_the_references():
                 for _ in range(3)
             ]
             try:
-                tri = Triangle(sp, *(ProjPoint(p) for p in pts))
+                tri = Triangle(sp, *(np.array(p) for p in pts))
             except GeometryError:
                 continue
             got = _outcome(measure_triangle, tri)
@@ -295,7 +294,7 @@ def test_triangle_refuses_exactly_the_unusable_sides():
                 pts[1] = pts[0].copy()
             if trial % 6 == 0:
                 pts[2] = -pts[0]
-            A, B, C = (ProjPoint(p) for p in pts)
+            A, B, C = (np.array(p) for p in pts)
             s = sp.cross_points(np.array([pts[0], pts[0], pts[1]]), np.array([pts[1], pts[2], pts[2]]))
             usable = (s.imag == 0.0) & (s.real != 0.0)
             if usable.all():
@@ -456,7 +455,7 @@ def _sas_draws(rng, count):
 
 def test_triangle_from_sas_matches_the_matrix_construction(monkeypatch):
     # Triangle's own refusals are not under test: take the vertices it is given.
-    monkeypatch.setattr(metric, "Triangle", lambda space, *vertices: np.array([p.coords for p in vertices]))
+    monkeypatch.setattr(metric, "Triangle", lambda space, *vertices: np.array(vertices))
     built = refused = 0
     for sig in PLANAR_SIGS:
         sp = Space(sig)

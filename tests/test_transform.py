@@ -48,7 +48,8 @@ def test_givens_quarter_turn_moves_basis_vector():
     sp = Space("ee")
     g = givens(sp, 0, 1, math.pi / 2)
     p = apply_point(g, [1.0, 0.0, 0.0])
-    assert np.allclose(p.coords, [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(p, [0.0, 1.0, 0.0], atol=1e-12)
+    assert not p.flags.writeable
 
 
 def test_givens_boost_block():
@@ -121,10 +122,10 @@ def test_transforms_preserve_point_products():
             x = rng.uniform(-1, 1, 3)
             y = rng.uniform(-1, 1, 3)
             gx, gy = apply_point(g, x), apply_point(g, y)
-            assert sp.dot_points(gx.coords, gy.coords) == pytest.approx(
+            assert sp.dot_points(gx, gy) == pytest.approx(
                 sp.dot_points(x, y), rel=1e-9, abs=1e-9
             )
-            assert sp.point_cross_radicand(gx.coords, gy.coords) == pytest.approx(
+            assert sp.point_cross_radicand(gx, gy) == pytest.approx(
                 sp.point_cross_radicand(x, y), rel=1e-9, abs=1e-9
             )
 

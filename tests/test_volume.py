@@ -18,7 +18,6 @@ from ckgeo import (
     DomainError,
     GeodesicSimplex,
     GeometryError,
-    ProjPoint,
     Space,
     SingularBasis,
     apply_point,
@@ -57,13 +56,13 @@ def euclid_triangle(p, q, r):
 
 def test_simplex_rejects_nonunit_vertices():
     with pytest.raises(DomainError):
-        GeodesicSimplex(EE, [ProjPoint([2.0, 0.0, 0.0]), ProjPoint([0.0, 1.0, 0.0])])
+        GeodesicSimplex(EE, [np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
 
 
 def test_simplex_rejects_dependent_vertices():
     with pytest.raises(SingularBasis):
         GeodesicSimplex(
-            EE, [EE.normalize([1.0, 0.0, 0.0]), ProjPoint([-1.0, 0.0, 0.0])]
+            EE, [EE.normalize([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])]
         )
 
 
@@ -75,9 +74,31 @@ def test_simplex_rejects_imaginary_separation():
             sp,
             [
                 sp.normalize([1.0, 0.0, 0.0]),
-                ProjPoint([math.cosh(t), 0.0, math.sinh(t)]),
+                np.array([math.cosh(t), 0.0, math.sinh(t)]),
             ],
         )
+
+
+def test_simplex_takes_vertices_as_lists_or_arrays():
+    rows = [HE.normalize([1.0, 0.0, 0.0]), HE.normalize([2.0, 1.0, 0.0]), HE.normalize([2.0, 0.0, 1.5])]
+    given = [np.array(row) for row in rows]
+    for vertices in (rows, [row.tolist() for row in rows], given):
+        simplex = GeodesicSimplex(HE, vertices)
+        assert all(not v.flags.writeable and v.dtype == float for v in simplex.vertices)
+        assert np.array_equal(simplex.matrix(), np.column_stack(rows))
+        count, gram, reach, scale, rounding, top = simplex._frame
+        want = GeodesicSimplex(HE, rows)._frame
+        assert gram.tobytes() == want[1].tobytes()
+        assert [x.hex() for x in (reach, scale, rounding, top)] == [x.hex() for x in want[2:]]
+    # the simplex keeps copies: changing the arrays it was given changes nothing
+    given[0][0] = 5.0
+    assert np.array_equal(simplex.matrix(), np.column_stack(rows))
+
+
+@pytest.mark.parametrize("vertex", [[[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]], ids=["(1, 3)", "(4,)"])
+def test_simplex_rejects_a_vertex_of_the_wrong_shape(vertex):
+    with pytest.raises(DimensionMismatch):
+        GeodesicSimplex(EE, [np.array(vertex), [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_simplex_vertex_count_bounds():
@@ -227,8 +248,8 @@ def test_unbounded_cone_is_rejected():
     # spherical-modulated signature whose second block is hyperbolic: two
     # points can subtend a cone that never leaves the unit shell
     sp = Space((1, 0))
-    a = ProjPoint([1.0, 0.0, 0.3])
-    b = ProjPoint([-1.0, 0.0, 0.4])
+    a = np.array([1.0, 0.0, 0.3])
+    b = np.array([-1.0, 0.0, 0.4])
     s = GeodesicSimplex(sp, [a, b])
     with pytest.raises(DomainError):
         mc_volume(sp, s, 10_000, 1)
@@ -240,9 +261,9 @@ def mixed_sign_triangle():
     return GeodesicSimplex(
         PE,
         [
-            ProjPoint([1.0, 0.0, 0.0]),
-            ProjPoint([-1.0, -3.0, 0.0]),
-            ProjPoint([1.0, 0.0, 4.0]),
+            np.array([1.0, 0.0, 0.0]),
+            np.array([-1.0, -3.0, 0.0]),
+            np.array([1.0, 0.0, 4.0]),
         ],
     )
 
@@ -266,7 +287,7 @@ def test_bounded_simplexes_with_a_rank_two_gram_form(k1, k3, k4):
     for seed in range(4):
         t = rng.uniform(-0.4, 0.4, 5)
         first = np.column_stack([np.cos(t), np.sin(t)] if k1 == 1 else [np.cosh(t), np.sinh(t)])
-        simplex = GeodesicSimplex(sp, [ProjPoint(v) for v in np.hstack([first, rng.normal(size=(5, 3))])])
+        simplex = GeodesicSimplex(sp, [np.array(v) for v in np.hstack([first, rng.normal(size=(5, 3))])])
         est = mc_volume(sp, simplex, 1_000, seed)
         assert est.samples == 1_000 and est.value > 0.0
         want = math.cos((t.max() - t.min()) / 2.0) ** 2 if k1 == 1 else 1.0
@@ -699,7 +720,7 @@ def test_near_unit_vertices_are_sampled():
     # and some samples can miss
     sp = PE
     simplex = GeodesicSimplex(
-        sp, [ProjPoint([1.0 + 4e-10, 0.0, 0.0]), ProjPoint([1.0 - 4e-10, 3.0, 0.0]), ProjPoint([1.0, 0.0, 4.0])]
+        sp, [np.array([1.0 + 4e-10, 0.0, 0.0]), np.array([1.0 - 4e-10, 3.0, 0.0]), np.array([1.0, 0.0, 4.0])]
     )
     assert not _certified(simplex)
     for seed, samples in [(1, 2_345), (3, 140_001)]:
