@@ -58,7 +58,7 @@ class MPlane:
     __slots__ = ("space", "cols", "_minors")
 
     def __init__(self, space: "Space", cols, validate: bool = True):
-        arr = np.array(cols, dtype=float)
+        arr = _float_array(cols, "plane columns", copy=True)
         if arr.ndim < 2 or (validate and arr.ndim != 2) or arr.shape[-2] != space.n + 1:
             raise DimensionMismatch(
                 "plane columns must form an (n+1) x (m+1) matrix for this space"
@@ -137,8 +137,8 @@ class Space:
 
     # -- points ---------------------------------------------------------
 
-    def _vec(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
+    def _vec(self, x, name: str) -> np.ndarray:
+        arr = _float_array(x, name)
         if arr.ndim == 0 or arr.shape[-1] != len(self.K):
             raise DimensionMismatch(
                 "expected %d coordinates, got shape %s" % (self.n + 1, arr.shape)
@@ -147,17 +147,17 @@ class Space:
 
     def dot_points(self, x, y):
         """Weighted dot product sum K_i x_i y_i; row-wise on (N, n+1) stacks."""
-        return _scalar(kernel.product_arrays(self.sig, 0).dot(self._vec(x), self._vec(y)))
+        return _scalar(kernel.product_arrays(self.sig, 0).dot(self._vec(x, "x"), self._vec(y, "y")))
 
     def _point_products(self, x, y):
         """Dot products and rooted cross products (see _root) of points, as arrays."""
         pa = kernel.product_arrays(self.sig, 0)
-        xv, yv = self._vec(x), self._vec(y)
+        xv, yv = self._vec(x, "x"), self._vec(y, "y")
         return pa.dot(xv, yv), _root(*pa.cross(xv, yv))
 
     def point_cross_radicand(self, x, y):
         """Signed sum of weighted squared minors under the point cross root."""
-        rad, _ = kernel.product_arrays(self.sig, 0).cross(self._vec(x), self._vec(y))
+        rad, _ = kernel.product_arrays(self.sig, 0).cross(self._vec(x, "x"), self._vec(y, "y"))
         return _scalar(rad)
 
     def cross_points(self, x, y) -> CrossValue:
@@ -183,7 +183,7 @@ class Space:
         and a stack of vectors (any leading axes) a read-only array of unit
         rows, or the error of its first bad row.
         """
-        arr = self._vec(raw)
+        arr = self._vec(raw, "raw")
         points = rows = arr.reshape(-1, self.n + 1)
         if not np.isfinite(points).all():
             # Zeroed rows fail the norm test below; _norm_error names the culprit.
@@ -282,7 +282,7 @@ class Space:
         is the normalization plane columns need in every signature.
         """
         u = self.direction(x, y)
-        return MPlane(self, np.column_stack([self._vec(x), u]))
+        return MPlane(self, np.column_stack([self._vec(x, "x"), u]))
 
     def direction(self, x, y) -> np.ndarray:
         """Unit direction vector at x pointing toward y; row-wise on stacks.
@@ -290,7 +290,7 @@ class Space:
         On a stack, the first pair without a real, nonzero cross product
         raises DegenerateTriangle with the error that pair raises alone.
         """
-        xv, yv = self._vec(x), self._vec(y)
+        xv, yv = self._vec(x, "x"), self._vec(y, "y")
         return _direction(xv, yv, *self._point_products(xv, yv))
 
 
@@ -349,6 +349,16 @@ def _root(rad, term_scale):
     snap = (rad < 0.0) & (rad >= -tolerance.ROOT_SNAP * np.maximum(1.0, term_scale))
     # Adding 0j turns -0.0 into +0.0; the complex root of a negative x is +0 + sqrt(-x)j.
     return np.sqrt(np.where(snap, 0.0, rad) + 0j)
+
+
+def _float_array(value, name: str, copy: bool = False) -> np.ndarray:
+    """A public array argument as a float array (a copy when asked), or
+    DimensionMismatch naming it where numpy cannot read it: a ragged
+    nesting, or an entry that is not a number."""
+    try:
+        return np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch("%s is not an array of numbers (%s)" % (name, exc)) from None
 
 
 def _require_finite(arr: np.ndarray, what: str, limit: float = math.inf) -> None:

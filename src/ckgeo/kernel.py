@@ -131,19 +131,13 @@ class Monomial:
 def point_cross_coeff(i: int, j: int, n: int) -> Monomial:
     """Coefficient K_i*K_j/k_1 of the squared (i, j) minor in the point cross.
 
-    Always divisible: j >= 1 guarantees at least one k_1 factor upstairs.
+    A point is the m = 0 plane whose minors are its coordinates, so this is
+    plane_cross_coeff((i,), (j,), n).  Always divisible: j >= 1 guarantees
+    at least one k_1 factor upstairs.
     """
     if not 0 <= i < j <= n:
         raise ValueError("need 0 <= i < j <= n")
-    exps = [0] * n
-    for l in range(i):
-        exps[l] += 1
-    for l in range(j):
-        exps[l] += 1
-    exps[0] -= 1
-    if exps[0] < 0:
-        raise NonDivisible("point cross coefficient lost its k_1 factor")
-    return Monomial(1, tuple(exps))
+    return plane_cross_coeff((i,), (j,), n)
 
 
 def _check_index_tuple(idx: IndexTuple, n: int) -> None:
@@ -177,21 +171,15 @@ def plane_cross_coeff(idx_i: IndexTuple, idx_j: IndexTuple, n: int) -> Monomial:
     Equal to plane_dot_coeff(idx_i) * plane_dot_coeff(idx_j) / k_{m+1} where
     m+1 is the tuple length.  For distinct increasing tuples the larger one
     reaches past position m, so the k_{m+1} factor is always present before
-    the division; single-index tuples reduce exactly to point_cross_coeff.
+    the division; single-index tuples give point_cross_coeff.
     """
     if len(idx_i) != len(idx_j):
         raise ValueError("index tuples of different lengths")
     if not tuple(idx_i) < tuple(idx_j):
         raise ValueError("first index tuple must be lexicographically smaller")
-    _check_index_tuple(idx_i, n)
-    _check_index_tuple(idx_j, n)
     m = len(idx_i) - 1
-    exps = [0] * n
-    for p in range(m + 1):
-        for l in range(p, idx_i[p]):
-            exps[l] += 1
-        for l in range(p, idx_j[p]):
-            exps[l] += 1
+    lo, hi = plane_dot_coeff(idx_i, n).exps, plane_dot_coeff(idx_j, n).exps
+    exps = [a + b for a, b in zip(lo, hi)]
     exps[m] -= 1
     if exps[m] < 0:
         raise NonDivisible("plane cross coefficient lost its k_%d factor" % (m + 1,))
@@ -200,13 +188,10 @@ def plane_cross_coeff(idx_i: IndexTuple, idx_j: IndexTuple, n: int) -> Monomial:
 
 @lru_cache(maxsize=None)
 def point_cross_table(sig: Tuple[int, ...]) -> Dict[Tuple[int, int], int]:
-    """Evaluated point-cross coefficients for all index pairs of a signature."""
-    chars = check_signature(sig)
-    n = len(chars)
-    return {
-        (i, j): point_cross_coeff(i, j, n).eval(chars)
-        for i, j in itertools.combinations(range(n + 1), 2)
-    }
+    """Evaluated point-cross coefficients for all index pairs of a signature:
+    the cross table of plane_tables(sig, 0), keyed (i, j) for ((i,), (j,))."""
+    _, _, cross = plane_tables(sig, 0)
+    return {(i, j): coeff for ((i,), (j,)), coeff in cross.items()}
 
 
 @lru_cache(maxsize=None)

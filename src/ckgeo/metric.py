@@ -116,7 +116,6 @@ def _same_span(X: MPlane, Y: MPlane) -> bool:
 
 def is_parallel(space: Space, X: MPlane, Y: MPlane) -> bool:
     """True when the cross product vanishes but the spans differ."""
-    space._check_pair(X, Y)
     s = space.cross_planes(X, Y)
     mag = s.magnitude if isinstance(s, Imaginary) else s
     return mag <= tolerance.FLAT and not _same_span(X, Y)
@@ -124,7 +123,6 @@ def is_parallel(space: Space, X: MPlane, Y: MPlane) -> bool:
 
 def is_orthogonal(space: Space, X: MPlane, Y: MPlane) -> bool:
     """True when the dot product vanishes."""
-    space._check_pair(X, Y)
     return abs(space.dot_planes(X, Y)) <= tolerance.FLAT
 
 
@@ -161,7 +159,7 @@ class Triangle:
         sp = self.space
         if sp.n != 2:
             raise DimensionMismatch("triangles need a planar space (n = 2)")
-        points = [sp._vec(p) for p in (self.A, self.B, self.C)]
+        points = [sp._vec(p, "vertex " + name) for name, p in zip("ABC", (self.A, self.B, self.C))]
         if any(p.ndim != 1 for p in points):
             raise DimensionMismatch("a triangle vertex must be one point, not a stack")
         vertices = np.array(points)

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import tolerance
-from .entity import MPlane, Space, _column_targets, _require_finite
+from .entity import MPlane, Space, _column_targets, _float_array, _require_finite
 from .errors import DimensionMismatch, DomainError
 from .gtrig import gcos, gsin
 
@@ -36,7 +36,7 @@ class GOrthoTransform:
     __slots__ = ("space", "matrix", "word")
 
     def __init__(self, space: Space, matrix, word: Sequence[Generator] = ()):
-        arr = np.array(matrix, dtype=float)
+        arr = _float_array(matrix, "matrix", copy=True)
         if arr.shape != (space.n + 1, space.n + 1):
             raise DimensionMismatch("transform matrix must be (n+1) x (n+1)")
         arr.setflags(write=False)
@@ -128,14 +128,20 @@ def inverse(g: GOrthoTransform) -> GOrthoTransform:
 
 
 def _generator_matrix(space: Space, gen: Generator) -> np.ndarray:
-    if gen[0] == "givens":
+    if len(gen) == 4 and gen[0] == "givens":
         _, i, j, t = gen
         return givens(space, i, j, t).matrix
-    return reflect(space, gen[1]).matrix
+    if len(gen) == 2 and gen[0] == "reflect":
+        return reflect(space, gen[1]).matrix
+    raise ValueError('generator %r is not ("givens", i, j, t) or ("reflect", axis)' % (gen,))
 
 
 def from_word(space: Space, word: Sequence[Generator]) -> GOrthoTransform:
-    """Multiply out a generator word (first element acts last, as in compose)."""
+    """Multiply out a generator word (first element acts last, as in compose).
+
+    Each generator is ("givens", i, j, t) or ("reflect", axis); any other
+    raises ValueError.
+    """
     mat = np.eye(space.n + 1)
     for gen in word:
         mat = mat @ _generator_matrix(space, gen)
@@ -149,7 +155,7 @@ def apply_point(g: GOrthoTransform, x) -> np.ndarray:
     flipping signs after the fact would not commute with the group action.
     The image is a read-only row; a non-finite coordinate raises DomainError.
     """
-    vec = np.asarray(x, dtype=float)
+    vec = _float_array(x, "point")
     if vec.shape != (g.space.n + 1,):
         raise DimensionMismatch("point has wrong coordinate count")
     _require_finite(vec, "point coordinate")
@@ -212,7 +218,7 @@ def validate(space: Space, matrix) -> ValidationReport:
     non-finite entry, or else one above tolerance.ENTRY_LIMIT in magnitude,
     raises DomainError naming its index, before any product is formed.
     """
-    mat = np.array(matrix, dtype=float)
+    mat = _float_array(matrix, "matrix", copy=True)
     if mat.shape != (space.n + 1, space.n + 1):
         raise DimensionMismatch("matrix must be (n+1) x (n+1)")
     _require_finite(mat, "matrix entry", tolerance.ENTRY_LIMIT)

@@ -127,7 +127,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tolerance
-from .entity import Space
+from .entity import Space, _float_array
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
 _CHUNK = 1 << 12
@@ -139,48 +139,50 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 class GeodesicSimplex:
     """Simplex spanned by unit points with pairwise real separations.
 
-    The vertices are kept as read-only float copies of the points given.  The
-    cone construction uses the vertex representatives exactly as given;
+    The vertices are kept as one read-only float (count, n+1) array, a copy
+    of the points given, a row per vertex; vertices that do not form such an
+    array (a ragged list among them) raise DimensionMismatch.  The cone
+    construction uses the vertex representatives exactly as given;
     flipping a representative's sign selects the opposite cone.
     """
 
     space: Space
-    vertices: Tuple[np.ndarray, ...]
+    vertices: np.ndarray
 
     def __init__(self, space: Space, vertices: Sequence):
-        rows = tuple(np.array(v, dtype=float) for v in vertices)
-        for row in rows:
-            row.setflags(write=False)
+        rows = _float_array(vertices, "vertices", copy=True)
+        rows.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "vertices", rows)
         self._validate()
 
     def _validate(self) -> None:
         n = self.space.n
-        if not 2 <= len(self.vertices) <= n + 1:
+        rows = self.vertices
+        if rows.ndim != 2 or rows.shape[1] != n + 1 or not 2 <= len(rows) <= n + 1:
             raise DimensionMismatch(
-                "need between 2 and %d vertices, got %d" % (n + 1, len(self.vertices))
+                "vertices have shape %s, expected (count, %d) with 2 <= count <= %d"
+                % (rows.shape, n + 1, n + 1)
             )
-        for v in self.vertices:
-            if v.shape != (n + 1,):
-                raise DimensionMismatch("vertex has shape %s, expected (%d,)" % (v.shape, n + 1))
-            q = self.space.dot_points(v, v)
-            if abs(q - 1.0) > tolerance.CONE * max(1.0, abs(q)):
-                raise DomainError("vertex is not a unit point (self dot %r)" % (q,))
+        q = self.space.dot_points(rows, rows)
+        off = np.abs(q - 1.0) > tolerance.CONE * np.maximum(1.0, np.abs(q))
+        if off.any():
+            k = int(off.argmax())
+            raise DomainError("vertex %d is not a unit point (self dot %r)" % (k, q.item(k)))
         mat = self.matrix()
         svals = np.linalg.svd(mat, compute_uv=False)
         if svals[-1] <= tolerance.NORM_FLOOR * max(1.0, svals[0]):
             raise SingularBasis("simplex vertices are numerically dependent")
         # Pairs i < j in row order, as a pairwise loop meets them.
-        i, j = np.nonzero(~np.tri(len(self.vertices), dtype=bool))
-        imaginary = self.space.cross_points(mat.T[i], mat.T[j]).imag != 0.0
+        i, j = np.nonzero(~np.tri(len(rows), dtype=bool))
+        imaginary = self.space.cross_points(rows[i], rows[j]).imag != 0.0
         if imaginary.any():
             first = int(imaginary.argmax())
             raise DomainError("separation of vertices %d,%d is imaginary" % (i[first], j[first]))
 
     def matrix(self) -> np.ndarray:
-        """Vertex coordinates as columns, shape (n+1, vertex count)."""
-        return np.column_stack(self.vertices)
+        """Vertex coordinates as columns: a new C-contiguous (n+1, count) array."""
+        return self.vertices.T.copy()
 
     @functools.cached_property
     def _frame(self) -> Tuple[int, np.ndarray, float, float, float, float]:
@@ -227,7 +229,7 @@ class VolumeEstimate:
 def cone_contains(space: Space, simplex: GeodesicSimplex, p) -> bool:
     """True when p = lambda*q for some q in the simplex and 0 <= lambda <= 1."""
     mat = simplex.matrix()
-    vec = np.asarray(p, dtype=float)
+    vec = _float_array(p, "p")
     if vec.shape != (space.n + 1,):
         raise DimensionMismatch("ambient point needs %d coordinates" % (space.n + 1,))
     mu, residual, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from ckgeo import DomainError, GeometryError, Measure, Space, cli, distance
+from ckgeo import DomainError, GeometryError, Measure, NonDivisible, Space, cli, distance
 from ckgeo.cli import _dist_text, main
 
 
@@ -463,6 +463,17 @@ def test_volume_refuses_a_nested_vertex(capsys):
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("error, code", [(NonDivisible, 4), (DomainError, 3)])
+def test_geometry_errors_exit_with_one_json_line(capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error("no such quantity")
+
+    monkeypatch.setattr(cli, "mc_volume", fail)
+    got, out, err = run(capsys, "volume", "--space", "ee", "--vertices", "[[1,0,0],[0,1,0]]")
+    assert (got, out) == (code, "")
+    assert err == json.dumps({"error": error.__name__, "message": "no such quantity"}) + "\n"
 
 
 # -- transform ---------------------------------------------------------------

@@ -13,13 +13,20 @@ from ckgeo import (
     DegenerateTriangle,
     DimensionMismatch,
     DomainError,
+    GeodesicSimplex,
+    GOrthoTransform,
     Imaginary,
     MPlane,
     NegativeNorm,
     OnAbsolute,
     Space,
+    Triangle,
+    apply_point,
+    cone_contains,
     cumulative_products,
+    identity,
     plane_tables,
+    validate,
 )
 
 CHARS = (-1, 0, 1)
@@ -451,3 +458,36 @@ def test_pair_checks_reject_mismatched_planes():
     b = MPlane(sp3, np.eye(4)[:, :2])
     with pytest.raises(DimensionMismatch):
         sp2.dot_planes(a, b)
+
+
+# -- argument intake ------------------------------------------------------------
+
+
+def _intake_entries():
+    """Each entry's argument name and a call that passes it the bad value."""
+    ee = Space("ee")
+    eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    simplex = GeodesicSimplex(ee, eye)
+    return {
+        "normalize": ("raw", lambda bad: ee.normalize(bad)),
+        "dot_points": ("x", lambda bad: ee.dot_points(bad, eye[0])),
+        "Triangle": ("vertex A", lambda bad: Triangle(ee, bad, eye[1], eye[2])),
+        "GeodesicSimplex": ("vertices", lambda bad: GeodesicSimplex(ee, bad)),
+        "apply_point": ("point", lambda bad: apply_point(identity(ee), bad)),
+        "cone_contains": ("p", lambda bad: cone_contains(ee, simplex, bad)),
+        "MPlane": ("plane columns", lambda bad: MPlane(ee, bad)),
+        "validate": ("matrix", lambda bad: validate(ee, bad)),
+        "GOrthoTransform": ("matrix", lambda bad: GOrthoTransform(ee, bad)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_intake_entries()))
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0, 0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, "x", 0.0]], [1.0, {}, 0.0]],
+    ids=["ragged", "string", "dict"],
+)
+def test_array_arguments_numpy_cannot_read_raise_dimension_mismatch(entry, bad):
+    name, call = _intake_entries()[entry]
+    with pytest.raises(DimensionMismatch, match="^%s is not an array of numbers" % name):
+        call(bad)

@@ -257,6 +257,17 @@ def test_plane_tables_consistency():
             assert value == plane_cross_coeff(ti, tj, 2).eval(sig)
 
 
+def test_coefficient_tables_keep_their_cache():
+    # the benchmark tracer reads cache_info() of both tables to count misses
+    plane_tables.cache_clear()
+    point_cross_table.cache_clear()
+    assert point_cross_table((1, 0, -1)) is point_cross_table((1, 0, -1))
+    assert point_cross_table.cache_info().misses == 1
+    assert plane_tables.cache_info().misses == 1  # the point table is built from the m = 0 one
+    assert plane_tables((1, 0, -1), 0) is plane_tables((1, 0, -1), 0)
+    assert plane_tables.cache_info().misses == 1
+
+
 def test_coefficient_tables_cover_all_signatures_without_illegal_division():
     for n in (1, 2, 3):
         for sig in all_sigs(n):

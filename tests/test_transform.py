@@ -103,6 +103,14 @@ def test_from_word_reproduces_random_transform():
     assert np.array_equal(g.matrix, h.matrix)
 
 
+@pytest.mark.parametrize(
+    "gen", [("rotate", 1), ("givens", 0, 1), ("reflect", 1, 2), ("givens", 0, 1, 0.5, 1)]
+)
+def test_from_word_refuses_an_unknown_generator(gen):
+    with pytest.raises(ValueError, match="generator"):
+        from_word(Space("ee"), [("givens", 0, 1, 0.5), gen])
+
+
 def test_random_transform_is_deterministic():
     sp = Space("ep")
     a = random_transform(sp, 7)

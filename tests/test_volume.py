@@ -84,8 +84,10 @@ def test_simplex_takes_vertices_as_lists_or_arrays():
     given = [np.array(row) for row in rows]
     for vertices in (rows, [row.tolist() for row in rows], given):
         simplex = GeodesicSimplex(HE, vertices)
-        assert all(not v.flags.writeable and v.dtype == float for v in simplex.vertices)
-        assert np.array_equal(simplex.matrix(), np.column_stack(rows))
+        kept = simplex.vertices
+        assert kept.shape == (3, 3) and kept.dtype == float and not kept.flags.writeable
+        mat = simplex.matrix()
+        assert mat.flags.c_contiguous and mat.tobytes() == np.column_stack(rows).tobytes()
         count, gram, reach, scale, rounding, top = simplex._frame
         want = GeodesicSimplex(HE, rows)._frame
         assert gram.tobytes() == want[1].tobytes()
