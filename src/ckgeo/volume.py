@@ -99,19 +99,22 @@ the simplex alone, so it is built once per simplex, on the first mc_volume
 call, and kept with it; later calls only sample.
 
 Layout.  A call reads one stream, c uniforms per sample, sample by sample,
-in chunks of _CHUNK = 2^12 samples, so a sample's uniforms depend neither
+in chunks of _CHUNK = 2^14 samples, so a sample's uniforms depend neither
 on its chunk nor on the chunk size, and its shell follows its index in the
 call.  Each chunk is transposed once, so row j holds uniform j of every
 sample, each sample is one column, and every step runs on contiguous rows.
 A comparator network sorts the first c - 1 rows (min and max round
 nothing), their differences are nu, and the form's terms are added row by
 row in vertex order, so a sample's bits depend only on its own uniforms.
+The shells are tallied exactly in integers: the chunk's hits, placed so
+that lane j of each row of 16 is shell j and padded with misses, are read
+as byte lanes and summed at most 255 rows at a time, so no lane carries.
 Every chunk array is a view of one thread's buffers, kept across calls and
 filled in place (_Work): allocating and freeing a call's chunk arrays (about
 2 MB for chunks of 2^14 samples) let the allocator hand that memory back to
-the system and fault it in again on later calls.  A thread keeps about
-(16c + 17) 2^12 bytes, 0.33 MB for four vertices; chunks of 2^14 samples
-run large calls about a fifth faster, at four times the memory.
+the system and fault it in again on later calls, and numpy's bincount of
+the hits would make a float copy of each chunk (131 kB at 2^14).  A thread
+keeps about (16c + 17) 2^14 bytes, 1.3 MB for four vertices.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -127,12 +131,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tolerance
-from .entity import Space, _float_array
+from .entity import Space, _float_array, _require_finite
 from .errors import DimensionMismatch, DomainError, SingularBasis
 
-_CHUNK = 1 << 12
+_CHUNK = 1 << 14
 _SHELLS = 16
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_LANE_MAX = 255  # rows a byte lane can sum without carrying
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +232,18 @@ class VolumeEstimate:
 
 
 def cone_contains(space: Space, simplex: GeodesicSimplex, p) -> bool:
-    """True when p = lambda*q for some q in the simplex and 0 <= lambda <= 1."""
-    mat = simplex.matrix()
+    """True when p = lambda*q for some q in the simplex and 0 <= lambda <= 1.
+
+    Raises DimensionMismatch when space is not the simplex's space or p has
+    the wrong coordinate count, and DomainError naming the first non-finite
+    coordinate of p."""
+    if space.sig != simplex.space.sig:
+        raise DimensionMismatch("simplex belongs to a different space")
     vec = _float_array(p, "p")
     if vec.shape != (space.n + 1,):
         raise DimensionMismatch("ambient point needs %d coordinates" % (space.n + 1,))
+    _require_finite(vec, "point coordinate")
+    mat = simplex.matrix()
     mu, residual, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
     if rank < mat.shape[1]:
         raise SingularBasis("simplex vertices are numerically dependent")
@@ -299,7 +311,10 @@ def _face_stationary_value(sub: np.ndarray) -> Optional[float]:
 
 class _Work(threading.local):
     """One thread's sampling buffers, kept across calls and grown to the
-    largest vertex count and chunk it has seen (see "Layout")."""
+    largest vertex count and chunk it has seen (see "Layout"): the uniforms
+    and their transposed rows, a spare row, whole rows of 16 hits (with room
+    for a chunk that starts mid-row) and the tally's block starts, and the
+    shell numbers k as floats, so that k + V is added without a cast."""
 
     count = chunk = 0
 
@@ -309,8 +324,10 @@ class _Work(threading.local):
             self.draws = np.empty(self.count * self.chunk)
             self.rows = np.empty(self.count * self.chunk)
             self.spare = np.empty(self.chunk)
-            self.hit = np.empty(self.chunk, dtype=bool)
-            self.shell = np.arange(self.chunk + _SHELLS) % _SHELLS
+            hit_rows = self.chunk // _SHELLS + 2
+            self.hit = np.empty(hit_rows * _SHELLS, dtype=bool)
+            self.blocks = np.arange(0, hit_rows, _LANE_MAX)
+            self.shell = np.arange(self.chunk + _SHELLS, dtype=float) % _SHELLS
         return self
 
 
@@ -334,7 +351,7 @@ def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> Lis
     work = _work.fit(count, _CHUNK)
     network = _sorting_network(count - 1)
     rng = np.random.default_rng(seed)
-    hits = np.zeros(_SHELLS)  # whole numbers, exact in floats below 2^53 samples
+    hits = np.zeros(_SHELLS, dtype=np.int64)
     done = 0
     while done < samples:
         take = min(_CHUNK, samples - done)
@@ -367,10 +384,18 @@ def _sample_hits(gram: np.ndarray, reach: float, samples: int, seed: int) -> Lis
         for _ in range(count - 2):
             np.multiply(power, w, out=power)
         np.multiply(power, lift, out=power)
-        hit = np.less_equal(power, bound, out=work.hit[:take])
-        hits += np.bincount(shell, weights=hit, minlength=_SHELLS)
+        # tally (see "Layout"): each row of 16 hits is two uint64 words of
+        # byte lanes, and sums of at most 255 rows keep every lane below 256
+        end = offset + take
+        hit_rows = -(-end // _SHELLS)
+        hit = work.hit[: hit_rows * _SHELLS]
+        hit[:offset] = hit[end:] = False
+        np.less_equal(power, bound, out=hit[offset:end])
+        words = hit.view(np.uint64).reshape(hit_rows, 2)
+        sums = np.add.reduceat(words, work.blocks[: -(-hit_rows // _LANE_MAX)], axis=0)
+        hits += np.add.reduce(sums.view(np.uint8).reshape(-1, _SHELLS), axis=0, dtype=np.int64)
         done += take
-    return hits.astype(int).tolist()
+    return hits.tolist()
 
 
 def mc_volume(space: Space, simplex: GeodesicSimplex, samples: int, seed: int) -> VolumeEstimate:

@@ -154,6 +154,20 @@ def test_cone_membership_checks_span():
     assert not cone_contains(EE, flat, [0.5, 0.5, 0.1])
 
 
+@pytest.mark.parametrize("space, point", [(HE, [0.9, 0.3, 0.3]), (Space("eee"), [1.0, 0.0, 0.0, 0.0])])
+def test_cone_membership_refuses_another_space(space, point):
+    # the he form would answer True for this point from the ee simplex's
+    # coefficients, and eee's four coordinates do not fit its matrix
+    with pytest.raises(DimensionMismatch, match="simplex belongs to a different space"):
+        cone_contains(space, octant(), point)
+
+
+@pytest.mark.parametrize("point, message", [([np.nan, 0.0, 1.0], r"\(0,\) is nan"), ([0.0, np.inf, 1.0], r"\(1,\) is inf")])
+def test_cone_membership_refuses_non_finite_points(point, message):
+    with pytest.raises(DomainError, match="point coordinate " + message):
+        cone_contains(EE, octant(), point)
+
+
 # -- estimates against exact areas ----------------------------------------------
 
 
@@ -424,15 +438,31 @@ def test_frame_is_built_once_per_simplex(monkeypatch):
 
 
 def test_hits_do_not_depend_on_chunk_size(monkeypatch):
-    # no chunk here is a multiple of 16, so a chunk starts mid-way through
-    # the shells, and each sample's shell must follow its index in the call
+    # 777, 1000 and 17 are not multiples of 16, so a chunk starts mid-way
+    # through the shells, and each sample's shell must follow its index in
+    # the call; 50 001 samples span four chunks of 2^14 and end in a partial
+    # row of the tally
     cases = [REFERENCE_SIMPLEXES[name]() for name in ("ee octant", "he triangle", "eeeee simplex")]
-    whole = [mc_volume(sp, simplex, 10_007, 5) for sp, simplex in cases]
-    for chunk in (777, 1000, 17):
+    calls = [(10_007, 5), (50_001, 3)]
+    whole = [mc_volume(*case, samples, seed) for case in cases for samples, seed in calls]
+    for chunk in (1 << 12, 777, 1000, 17):
         monkeypatch.setattr(volume_module, "_CHUNK", chunk)
-        for (sp, simplex), want in zip(cases, whole):
-            got = mc_volume(sp, simplex, 10_007, 5)
-            assert (got.hits, got.value, got.stderr) == (want.hits, want.value, want.stderr), chunk
+        got = [mc_volume(*case, samples, seed) for case in cases for samples, seed in calls]
+        assert [(e.hits, e.value, e.stderr) for e in got] == [(e.hits, e.value, e.stderr) for e in whole], chunk
+
+
+@pytest.mark.parametrize("samples", [1 << 14, 3 * (1 << 14) + 37])
+def test_shell_hits_match_a_plain_count(samples):
+    # On the ee octant the three inner shells hit on every sample, so in a
+    # 2^14-sample chunk each of their byte lanes sums 1024 ones: the tally
+    # must add them in blocks that no lane overflows.
+    sp, simplex = REFERENCE_SIMPLEXES["ee octant"]()
+    count, gram, reach = simplex._frame[:3]
+    u = np.random.default_rng(9).random((samples, count))
+    inside = _reference_test_values(u, gram, reach) <= (1.0 + volume_module.tolerance.CONE) ** count
+    want = [int(np.count_nonzero(inside[k::16])) for k in range(16)]
+    assert want[:3] == [len(inside[k::16]) for k in range(3)]
+    assert volume_module._sample_hits(gram, reach, samples, 9) == want
 
 
 def test_threads_sampling_at_once_match_sequential_calls():
@@ -736,10 +766,12 @@ def test_only_the_flat_reference_simplex_is_certified():
 
 
 def test_peak_memory_is_bounded_by_the_chunk():
-    # 10^6 samples of a six-vertex simplex: 245 chunks of 2^12 samples, each
-    # array a view of the thread's buffers (0.46 MB), so the call allocates
-    # almost nothing (7 kB); fresh arrays for each 2^14-sample chunk peaked
-    # at 3.5 MB, and the row layout with 2^17-sample chunks at 21 MB
+    # 10^6 samples of a six-vertex simplex: 62 chunks of 2^14 samples, each
+    # array a view of the thread's buffers (1.85 MB), and the shell tally
+    # allocates no chunk-sized copy, so the call allocates almost nothing
+    # (7 kB); fresh arrays for each 2^14-sample chunk peaked at 3.5 MB, a
+    # bincount tally at 131 kB, and the row layout with 2^17-sample chunks
+    # at 21 MB
     sp, simplex = REFERENCE_SIMPLEXES["eeeee simplex"]()
     mc_volume(sp, simplex, 1_000, 1)  # builds the frame and the buffers
     tracemalloc.start()
@@ -749,6 +781,16 @@ def test_peak_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1e5
+
+
+@pytest.mark.parametrize("name", ["pe triangle", "ee octant"])
+def test_estimate_fields_are_plain_numbers(name):
+    # the pe triangle is certified and draws nothing; the octant is sampled
+    sp, simplex = REFERENCE_SIMPLEXES[name]()
+    est = mc_volume(sp, simplex, 10_000, 2)
+    assert _certified(simplex) == (name == "pe triangle")
+    assert [type(est.value), type(est.stderr)] == [float, float]
+    assert [type(est.hits), type(est.samples), type(est.seed)] == [int, int, int]
 
 
 def test_estimate_dict_shape():
