@@ -12,10 +12,11 @@ coefficient-algebra failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from typing import List, Optional, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .entity import MPlane, Space
 from .errors import DomainError, GeometryError, NonDivisible
-from .metric import _measure_rows, angle, distance, law_residuals, measure_triangle, triangle_from_sas
+from .metric import Measure, angle, distance, law_residuals, measure_triangle, triangle_from_sas
 from .transform import (
     apply_plane,
     apply_point,
@@ -49,16 +50,21 @@ def _parse_floats(tokens: Sequence[str], want: int, what: str) -> List[float]:
     return values
 
 
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 file's text with universal newlines (a leading byte-order mark
+    is skipped); a file that cannot be read or decoded is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError("%s: cannot read file %r (%s)" % (what, path, exc)) from exc
+
+
 def _load_json_arg(text: str, what: str):
-    """Inline JSON when the value starts like JSON, else a UTF-8 file path
-    (a leading byte-order mark is skipped)."""
+    """Inline JSON when the value starts like JSON, else a file path (see _read_text)."""
     raw = text.strip()
     if not raw.startswith(("[", "{")):
-        try:
-            with open(text, "r", encoding="utf-8-sig") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise _UsageError("%s: cannot read file %r (%s)" % (what, text, exc)) from exc
+        raw = _read_text(text, what)
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -101,61 +107,57 @@ def _cmd_dist(args) -> str:
         return _dist_text(_dist_bulk(space, args.pairs), args.output)
     if args.p is None or args.q is None:
         raise _UsageError("dist needs --p and --q (or --pairs FILE)")
-    x = _point(space, args.p, "--p")
-    y = _point(space, args.q, "--q")
-    m = distance(space, x, y)
-    return _dist_text([(m.value, m.kind)], args.output, single=True)
+    x, y = _point(space, args.p, "--p"), _point(space, args.q, "--q")
+    return _dist_text([distance(space, x, y)], args.output, single=True)
 
 
-def _dist_bulk(space: Space, path: str) -> list:
-    """The (phi, kind) of every row, measured as one batch.
+def _dist_bulk(space: Space, path: str) -> List[Measure]:
+    """The Measures of a --pairs file's rows: non-empty lines of 2(n+1)
+    comma-separated numbers, read as --p and --q are read.
 
-    Errors come in file order: rows are parsed up to the first malformed
-    one, whose usage error is raised only if the rows before it measure
-    without error, and the bad point reported is the first one (x before
-    y).  Points are checked before pairs are measured, so a bad point is
-    reported even when an earlier pair cannot be measured.  A leading
-    byte-order mark is skipped.
+    Errors come in file order: the rows before the first malformed one are
+    measured, and its usage error is raised only if they measure without
+    error.  The bad point reported is the first one (x before y), even when
+    an earlier pair cannot be measured.
     """
+    rows = [line.split(",") for line in _read_text(path, "--pairs").split("\n") if line]
+    width, malformed = 2 * (space.n + 1), None
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise _UsageError("--pairs: cannot read %r (%s)" % (path, exc)) from exc
-    width = 2 * (space.n + 1)
-    values, malformed = [], None
-    for lineno, row in enumerate(rows, 1):
-        if len(row) != width:
-            malformed = _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
-            break
-        try:
-            values.extend(map(float, row))
-        except ValueError as exc:
-            del values[(lineno - 1) * width :]  # the tokens of this row before the bad one
-            malformed = _UsageError("--pairs row %d: %s" % (lineno, exc))
-            break
+        if any(len(row) != width for row in rows):
+            raise ValueError
+        values = list(map(float, itertools.chain.from_iterable(rows)))
+    except ValueError:
+        # Locate the first malformed row: the rows before it are still measured.
+        for good, row in enumerate(rows):
+            try:
+                if len(row) != width:
+                    raise ValueError("needs %d values, got %d" % (width, len(row)))
+                list(map(float, row))
+            except ValueError as exc:
+                malformed = _UsageError("--pairs row %d: %s" % (good + 1, exc))
+                break
+        values = list(map(float, itertools.chain.from_iterable(rows[:good])))
     # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
     points = space.normalize(np.array(values).reshape(-1, space.n + 1))
-    measured = _measure_rows(space.sig[0], *space._point_products(points[0::2], points[1::2]))
+    measures = distance(space, points[0::2], points[1::2])
     if malformed is not None:
         raise malformed
-    return measured
+    return measures
 
 
-def _dist_text(rows, output: str, single: bool = False) -> str:
-    """dist's output, written from (phi, kind) rows.
-
-    The bytes are those json.dumps(sort_keys=True) gives for the rows'
-    Measure.to_dict(), a list of them unless single, or csv.writer for
-    (repr(phi), 1, kind) under a phi,level,kind header: both write a finite
-    float as float.__repr__ does.  A non-finite phi raises DomainError.
+def _dist_text(measures: Sequence[Measure], output: str, single: bool = False) -> str:
+    """dist's output, with the bytes json.dumps(sort_keys=True) gives for the
+    Measures' to_dict(), a list of them unless single, or csv.writer for
+    (repr(phi), level, kind) under a phi,level,kind header: both write a
+    finite float as float.__repr__ does.  A non-finite phi raises DomainError.
     """
-    for idx, (phi, _) in enumerate(rows, 1):
+    rows = list(map(operator.attrgetter("kind", "level", "value"), measures))
+    for idx, (_, _, phi) in enumerate(rows, 1):
         if not math.isfinite(phi):
             raise DomainError("phi of pair %d is %r, not a finite number" % (idx, phi))
     if output == "csv":
-        return "\n".join(["phi,level,kind", *["%r,1,%s" % row for row in rows]])
-    lines = ['{"kind": "%s", "level": 1, "phi": %r}' % (kind, phi) for phi, kind in rows]
+        return "\n".join(["phi,level,kind", *["%r,%d,%s" % (phi, level, kind) for kind, level, phi in rows]])
+    lines = ['{"kind": "%s", "level": %d, "phi": %r}' % row for row in rows]
     return lines[0] if single else "[%s]" % ", ".join(lines)
 
 

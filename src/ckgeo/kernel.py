@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .errors import NonDivisible
+from .errors import DimensionMismatch, NonDivisible
 
 _LETTER_TO_CHAR = {"e": 1, "p": 0, "h": -1}
 _CHAR_TO_LETTER = {1: "e", 0: "p", -1: "h"}
@@ -227,7 +227,8 @@ class ProductArrays:
     a..., b... and `ba` the positions b..., a..., so that x[ab] * y[ba] is
     x_a y_b followed by x_b y_a.  `signs` (pairs x 2) holds each pair's
     coefficient in its first column and 1 in its second.  Both methods work
-    on one minor vector or on stacks of them (any leading axes).  They sum
+    on one minor vector or on stacks of them (any leading axes that
+    broadcast; others raise DimensionMismatch naming both shapes).  They sum
     with numpy's vecdot and vecmat, which add each row's terms in the same
     order whatever the stack size or memory alignment, so a pair gives the
     same bits alone as in a stack; results of matmul depend on both.
@@ -241,7 +242,10 @@ class ProductArrays:
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Weighted dot product sum w_i x_i y_i over the last axis."""
-        return np.vecdot(self.weights * x, y)
+        try:
+            return np.vecdot(self.weights * x, y)
+        except ValueError:  # leading axes that do not broadcast
+            raise DimensionMismatch("stacks of shapes %s and %s do not broadcast" % (x.shape, y.shape)) from None
 
     def cross(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Cross radicand sum c_ab (x_a y_b - x_b y_a)^2 and its term scale.
@@ -249,7 +253,10 @@ class ProductArrays:
         The scale is the same sum with every |c_ab| = 1, the size the
         radicand's rounding is measured against; both come from one pass.
         """
-        terms = x.take(self.ab, axis=-1) * y.take(self.ba, axis=-1)
+        try:
+            terms = x.take(self.ab, axis=-1) * y.take(self.ba, axis=-1)
+        except ValueError:  # leading axes that do not broadcast
+            raise DimensionMismatch("stacks of shapes %s and %s do not broadcast" % (x.shape, y.shape)) from None
         half = len(self.signs)
         minor = terms[..., :half] - terms[..., half:]
         sums = np.vecmat(minor * minor, self.signs)

@@ -51,25 +51,16 @@ class Measure:
         return {"phi": self.value, "level": self.level, "kind": self.kind}
 
 
-def _measure_rows(k: int, c, s) -> list:
-    """(value, kind) of each row of a product stack, through the scalar inverter.
-
-    c and s are the arrays of Space._point_products or _plane_products, at
-    characteristic k; the first row that cannot be measured raises its error.
-    """
-    rows = []
-    for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist()):
-        if sv.imag:
-            rows.append((gmeasure_from_cs(-k, abs(cv), sv.imag), "imaginary"))
-        else:
-            rows.append((gmeasure_from_cs(k, cv, sv.real), "real"))
-    return rows
-
-
 def _measure_pair(k: int, c, s, level: int):
-    """_measure_rows as Measures: one for a single pair (0-d arrays), the
-    list of them for a stack."""
-    measures = [Measure(value, level, kind) for value, kind in _measure_rows(k, c, s)]
+    """The Measures of the products (c, s) of Space._point_products or
+    _plane_products at characteristic k: one for a single pair (0-d arrays),
+    the list of them for a stack, whose first unmeasurable row raises."""
+    measures = [
+        Measure(gmeasure_from_cs(-k, abs(cv), sv.imag), level, "imaginary")
+        if sv.imag
+        else Measure(gmeasure_from_cs(k, cv, sv.real), level)
+        for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist())
+    ]
     return measures if np.ndim(s) else measures[0]
 
 
@@ -94,8 +85,8 @@ def identified_distance(space: Space, x, y):
     if space.sig[0] != 1:
         raise DomainError("antipodal identification needs k_1 = 1")
     c, s = space._point_products(x, y)
-    rows = _measure_rows(1, c, s)
-    folded = [min(phi, math.pi - phi) if kind == "real" else phi for phi, kind in rows]
+    measures = _measure_pair(1, c, np.atleast_1d(s), 1)
+    folded = [min(m.value, math.pi - m.value) if m.kind == "real" else m.value for m in measures]
     return folded if np.ndim(s) else folded[0]
 
 
@@ -105,20 +96,19 @@ def angle(space: Space, X: MPlane, Y: MPlane):
     return _measure_pair(space.sig[X.m], *space._plane_products(X, Y), X.m + 1)
 
 
-def _same_span(X: MPlane, Y: MPlane) -> bool:
-    mx, my = X.minor_vector(), Y.minor_vector()
-    nx, ny = float(np.linalg.norm(mx)), float(np.linalg.norm(my))
-    if nx == 0.0 or ny == 0.0:
-        return False
-    a, b = mx / nx, my / ny
-    return bool(min(np.abs(a - b).max(), np.abs(a + b).max()) <= tolerance.FLAT)
-
-
-def is_parallel(space: Space, X: MPlane, Y: MPlane) -> bool:
-    """True when the cross product vanishes but the spans differ."""
+def is_parallel(space: Space, X: MPlane, Y: MPlane):
+    """True when the cross product vanishes but the unit minor vectors differ
+    beyond tolerance.FLAT up to sign (a zero one scales to NaNs, which
+    differ); row by row on stacks, as a bool array."""
     s = space.cross_planes(X, Y)
-    mag = s.magnitude if isinstance(s, Imaginary) else s
-    return mag <= tolerance.FLAT and not _same_span(X, Y)
+    mag = s.magnitude if isinstance(s, Imaginary) else np.abs(s)
+    mx, my = X.minor_vector(), Y.minor_vector()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = mx / np.linalg.norm(mx, axis=-1, keepdims=True)
+        b = my / np.linalg.norm(my, axis=-1, keepdims=True)
+    same = np.minimum(np.abs(a - b).max(axis=-1), np.abs(a + b).max(axis=-1)) <= tolerance.FLAT
+    parallel = (mag <= tolerance.FLAT) & ~same
+    return parallel if parallel.ndim else bool(parallel)
 
 
 def is_orthogonal(space: Space, X: MPlane, Y: MPlane) -> bool:

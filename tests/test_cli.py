@@ -5,12 +5,18 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ckgeo import DomainError, GeometryError, Measure, NonDivisible, Space, cli, distance
 from ckgeo.cli import _dist_text, main
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -240,24 +246,23 @@ def test_dist_text_of_extreme_phi_is_the_encoders_bytes(output):
         Measure(0.0, 1),
         Measure(123456789.0, 1),
     ]
-    rows = [(m.value, m.kind) for m in measures]
-    assert _dist_text(rows, output) + "\n" == _encoder_text(measures, output)
-    for m, row in zip(measures, rows):
-        assert _dist_text([row], output, single=True) + "\n" == _encoder_text([m], output, single=True)
+    assert _dist_text(measures, output) + "\n" == _encoder_text(measures, output)
+    for m in measures:
+        assert _dist_text([m], output, single=True) + "\n" == _encoder_text([m], output, single=True)
 
 
 @pytest.mark.parametrize("phi", [math.inf, math.nan])
 def test_dist_text_refuses_a_non_finite_phi(phi):
     with pytest.raises(DomainError, match="phi of pair 2"):
-        _dist_text([(0.5, "real"), (phi, "real")], "json")
+        _dist_text([Measure(0.5, 1), Measure(phi, 1)], "json")
     with pytest.raises(DomainError, match="phi of pair 1"):
-        _dist_text([(phi, "imaginary")], "csv", single=True)
+        _dist_text([Measure(phi, 1, "imaginary")], "csv", single=True)
 
 
 def test_dist_non_finite_phi_exits_with_one_json_error_line(capsys, tmp_path, monkeypatch):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("1,0,0,2,0.5,0\n")
-    monkeypatch.setattr(cli, "_measure_rows", lambda k, c, s: [(math.inf, "real")])
+    monkeypatch.setattr(cli, "distance", lambda space, x, y: [Measure(math.inf, 1)])
     code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and json.loads(err)["error"] == "DomainError"
@@ -322,6 +327,75 @@ def test_json_file_argument_reads_a_byte_order_mark(capsys, tmp_path):
     got = run_json(capsys, "angle", "--space", "ee", "--x", str(x), "--y", "[[1,0,0],[0,0,1]]")
     want = run_json(capsys, "angle", "--space", "ee", "--x", "[[1,0,0],[0,1,0]]", "--y", "[[1,0,0],[0,0,1]]")
     assert got == want and got["phi"] == pytest.approx(math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '"1",0,0,1,3,4\n',  # a quoted field, which --p refuses too
+        "1,0,0,1,3," + "x" * 140000 + "\n",  # a field over csv's 131 072-character limit
+    ],
+    ids=["quoted", "over-long"],
+)
+def test_dist_bulk_reads_fields_as_p_reads_them(capsys, tmp_path, text):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(text)
+    code, out, err = run(capsys, "dist", "--space", "pe", "--pairs", str(pairs))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["message"].startswith("--pairs row 1: could not convert string to float")
+
+
+def test_dist_bulk_reads_universal_newlines(capsys, tmp_path):
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+    plain.write_bytes(b"1,0,0,1,3,4\n1,1,0,1,1,2\n")
+    want = run(capsys, "dist", "--space", "pe", "--pairs", str(plain))
+    assert want[0] == 0
+    for data in (b"1,0,0,1,3,4\r\n1,1,0,1,1,2\r\n", b"1,0,0,1,3,4\r1,1,0,1,1,2", b"\r\n1,0,0,1,3,4\r\n\r1,1,0,1,1,2\n\n"):
+        other.write_bytes(data)
+        assert run(capsys, "dist", "--space", "pe", "--pairs", str(other)) == want
+
+
+UNDECODABLE = b"[[1,0,0],[0,1,0]]\xff\n"
+FILE_OPTIONS = [
+    ("--pairs", ("dist", "--space", "pe", "--pairs", "FILE")),
+    ("--x", ("angle", "--space", "ee", "--x", "FILE", "--y", "[[1,0,0],[0,1,0]]")),
+    ("--y", ("angle", "--space", "ee", "--x", "[[1,0,0],[0,1,0]]", "--y", "FILE")),
+    ("--vertices", ("volume", "--space", "ee", "--vertices", "FILE")),
+    ("--validate", ("transform", "--space", "ee", "--validate", "FILE")),
+    ("--apply", ("transform", "--space", "ee", "--givens", "0,1,0.5", "--apply", "FILE")),
+]
+
+
+@pytest.mark.parametrize("option, argv", FILE_OPTIONS)
+def test_undecodable_file_arguments_are_usage_errors(capsys, tmp_path, option, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(UNDECODABLE)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    assert payload["message"].startswith(option + ": cannot read file ")
+
+
+def test_module_entry_point(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("1,0,0,1,3,4\n1,1,0,1,1,2\n")
+    bad.write_bytes(UNDECODABLE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def ckgeo(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ckgeo.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+
+    done = ckgeo("dist", "--space", "pe", "--pairs", str(good), "--output", "csv")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"phi,level,kind\n5.0,1,real\n2.0,1,real\n", b"")
+    done = ckgeo("dist", "--space", "pe", "--pairs", str(bad))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.count(b"\n") == 1 and done.stderr.endswith(b"\n")
+    assert json.loads(done.stderr)["error"] == "usage"
 
 
 # -- angle --------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ckgeo import (
     apply_point,
     cone_contains,
     cumulative_products,
+    distance,
     identity,
     plane_tables,
     validate,
@@ -306,6 +307,29 @@ def test_point_products_on_stacks_match_pairs():
                 assert cross[i] == 1j * one.magnitude
             else:
                 assert cross[i] == one
+
+
+def test_stacks_that_do_not_broadcast_raise_dimension_mismatch():
+    sp = Space("he")
+    two = sp.normalize([[1.0, 0.0, 0.0], [2.0, 0.5, 0.0]])
+    three = sp.normalize([[1.0, 0.0, 0.0], [2.0, 0.5, 0.0], [3.0, 1.0, 0.5]])
+    lines = MPlane(sp, np.stack([np.eye(3)[:, :2]] * 2), validate=False)
+    more = MPlane(sp, np.stack([np.eye(3)[:, :2]] * 3), validate=False)
+    calls = [
+        lambda: distance(sp, two, three),
+        lambda: sp.dot_points(two, three),
+        lambda: sp.cross_points(two, three),
+        lambda: sp.point_cross_radicand(two, three),
+        lambda: sp.dot_planes(lines, more),
+        lambda: sp.cross_planes(lines, more),
+        lambda: sp.plane_cross_radicand(lines, more),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=re.escape("shapes (2, 3) and (3, 3) do not broadcast")):
+            call()
+    # a point against a stack, and a stack of stacks against a stack, still broadcast
+    assert len(distance(sp, two[0], three)) == 3
+    assert sp.dot_points(two[:, None, :], three).shape == (2, 3)
 
 
 # -- planes ------------------------------------------------------------------------

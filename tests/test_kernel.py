@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from ckgeo import (
     point_cross_coeff,
     point_cross_table,
 )
+from ckgeo.kernel import product_arrays
 
 CHARS = (-1, 0, 1)
 
@@ -274,3 +276,15 @@ def test_coefficient_tables_cover_all_signatures_without_illegal_division():
             point_cross_table(sig)
             for m in range(1, n):
                 plane_tables(sig, m)
+
+
+def test_hyperplane_products_are_the_reversed_signatures_point_products():
+    # Polarity: the n minors of an (n-1)-plane pair up as the coordinates of a
+    # point in the reversed signature, with the same weights and cross terms.
+    # Only `rows` differs: it holds index tuples of length n against 1.
+    for n in range(2, 7):
+        for sig in all_sigs(n):
+            hyper, point = product_arrays(sig, n - 1), product_arrays(sig[::-1], 0)
+            for field in ("weights", "ab", "ba", "signs"):
+                got, want = getattr(hyper, field), getattr(point, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (sig, field)

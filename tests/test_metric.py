@@ -1,5 +1,6 @@
 """Measures, triangles, the law registry, and the SAS solver."""
 
+import itertools
 import math
 import random
 
@@ -212,6 +213,22 @@ def test_parallel_lines_in_euclidean_plane():
     assert not is_parallel(PE, lo, lo)  # same span does not count
     slanted = line(PE, [1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     assert not is_parallel(PE, lo, slanted)
+
+
+def test_parallel_and_orthogonal_answer_stacks_row_by_row():
+    lo = line(PE, [1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    hi = line(PE, [1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    up = line(PE, [1.0, 0.5, 0.0], [1.0, 0.5, 1.0])
+    slanted = line(PE, [1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    pairs = [(lo, hi), (lo, lo), (lo, slanted), (lo, up), (hi, up), (slanted, slanted)]
+    X = MPlane(PE, np.stack([x.cols for x, _ in pairs]), validate=False)
+    Y = MPlane(PE, np.stack([y.cols for _, y in pairs]), validate=False)
+    for test in (is_parallel, is_orthogonal):
+        rows = [test(PE, x, y) for x, y in pairs]
+        assert all(type(r) is bool for r in rows)
+        got = test(PE, X, Y)
+        assert got.dtype == bool and got.tolist() == rows
+    assert is_parallel(PE, X, Y).tolist() == [True, False, False, False, False, False]
 
 
 def test_orthogonal_lines_in_euclidean_plane():
@@ -474,3 +491,24 @@ def test_law_residuals_overflow_is_a_geometry_error():
     tm = measure_triangle(triangle_from_sas(sp, 2.106737733072028, 2.31622094515917, 2.1053842523569517))
     with pytest.raises(GeometryError):
         law_residuals(sp, tm)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hyperplane_angles_are_distances_of_their_minors_in_the_reversed_signature(n):
+    # Polarity: an angle between two (n-1)-planes is the distance between
+    # their minor vectors, read as points of the reversed signature, to the
+    # bit, or the same refusal.
+    def outcome(measure):
+        try:
+            m = measure()
+        except GeometryError as exc:
+            return type(exc).__name__, str(exc)
+        return m.value.hex(), m.kind
+
+    for sig in itertools.product((-1, 0, 1), repeat=n):
+        sp, polar = Space(sig), Space(sig[::-1])
+        for seed in range(0, 12, 2):
+            X = MPlane(sp, random_transform(sp, seed).matrix[:, :n])
+            Y = MPlane(sp, random_transform(sp, seed + 1).matrix[:, :n])
+            got = outcome(lambda: angle(sp, X, Y))
+            assert got == outcome(lambda: distance(polar, X.minor_vector(), Y.minor_vector())), (sig, seed)
