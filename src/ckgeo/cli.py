@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import operator
@@ -121,22 +120,16 @@ def _dist_bulk(space: Space, path: str) -> List[Measure]:
     an earlier pair cannot be measured.
     """
     rows = [line.split(",") for line in _read_text(path, "--pairs").split("\n") if line]
-    width, malformed = 2 * (space.n + 1), None
-    try:
-        if any(len(row) != width for row in rows):
-            raise ValueError
-        values = list(map(float, itertools.chain.from_iterable(rows)))
-    except ValueError:
-        # Locate the first malformed row: the rows before it are still measured.
-        for good, row in enumerate(rows):
-            try:
-                if len(row) != width:
-                    raise ValueError("needs %d values, got %d" % (width, len(row)))
-                list(map(float, row))
-            except ValueError as exc:
-                malformed = _UsageError("--pairs row %d: %s" % (good + 1, exc))
-                break
-        values = list(map(float, itertools.chain.from_iterable(rows[:good])))
+    width, values, malformed = 2 * (space.n + 1), [], None
+    for lineno, row in enumerate(rows, 1):
+        try:
+            if len(row) != width:
+                raise ValueError("needs %d values, got %d" % (width, len(row)))
+            values += [float(t) for t in row]
+        except ValueError as exc:
+            # The rows before the first malformed one are still measured.
+            malformed = _UsageError("--pairs row %d: %s" % (lineno, exc))
+            break
     # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
     points = space.normalize(np.array(values).reshape(-1, space.n + 1))
     measures = distance(space, points[0::2], points[1::2])

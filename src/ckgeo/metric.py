@@ -84,10 +84,10 @@ def identified_distance(space: Space, x, y):
     """
     if space.sig[0] != 1:
         raise DomainError("antipodal identification needs k_1 = 1")
-    c, s = space._point_products(x, y)
-    measures = _measure_pair(1, c, np.atleast_1d(s), 1)
+    d = distance(space, x, y)
+    measures = d if isinstance(d, list) else [d]
     folded = [min(m.value, math.pi - m.value) if m.kind == "real" else m.value for m in measures]
-    return folded if np.ndim(s) else folded[0]
+    return folded if isinstance(d, list) else folded[0]
 
 
 def angle(space: Space, X: MPlane, Y: MPlane):
