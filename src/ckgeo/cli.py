@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import operator
 import sys
 from typing import List, Optional, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 from . import __version__
 from .entity import MPlane, Space
 from .errors import DomainError, GeometryError, NonDivisible
-from .metric import Measure, angle, distance, law_residuals, measure_triangle, triangle_from_sas
+from .metric import Measures, angle, distance, law_residuals, measure_triangle, triangle_from_sas
 from .transform import (
     apply_plane,
     apply_point,
@@ -39,11 +37,23 @@ class _UsageError(Exception):
     pass
 
 
+# A token longer than this is reported by its first _TOKEN_HEAD characters and its length.
+_TOKEN_LIMIT, _TOKEN_HEAD = 80, 40
+
+
+def _bad_float(token: str, exc: ValueError) -> str:
+    """float's message for a token that is not a number, shortened for a long token."""
+    if len(token) <= _TOKEN_LIMIT:
+        return str(exc)
+    return "could not convert string to float: %r... (%d characters)" % (token[:_TOKEN_HEAD], len(token))
+
+
 def _parse_floats(tokens: Sequence[str], want: int, what: str) -> List[float]:
+    values: List[float] = []
     try:
-        values = [float(tok) for tok in tokens]
+        values += map(float, tokens)
     except ValueError as exc:
-        raise _UsageError("%s: %s" % (what, exc)) from exc
+        raise _UsageError("%s: %s" % (what, _bad_float(tokens[len(values)], exc))) from exc
     if len(values) != want:
         raise _UsageError("%s needs %d comma-separated numbers, got %d" % (what, want, len(values)))
     return values
@@ -107,10 +117,11 @@ def _cmd_dist(args) -> str:
     if args.p is None or args.q is None:
         raise _UsageError("dist needs --p and --q (or --pairs FILE)")
     x, y = _point(space, args.p, "--p"), _point(space, args.q, "--q")
-    return _dist_text([distance(space, x, y)], args.output, single=True)
+    # a stack of one, which measures with the bits of the lone pair
+    return _dist_text(distance(space, x[None], y[None]), args.output, single=True)
 
 
-def _dist_bulk(space: Space, path: str) -> List[Measure]:
+def _dist_bulk(space: Space, path: str) -> Measures:
     """The Measures of a --pairs file's rows: non-empty lines of 2(n+1)
     comma-separated numbers, read as --p and --q are read.
 
@@ -122,13 +133,17 @@ def _dist_bulk(space: Space, path: str) -> List[Measure]:
     rows = [line.split(",") for line in _read_text(path, "--pairs").split("\n") if line]
     width, values, malformed = 2 * (space.n + 1), [], None
     for lineno, row in enumerate(rows, 1):
+        if len(row) != width:
+            malformed = _UsageError("--pairs row %d: needs %d values, got %d" % (lineno, width, len(row)))
+            break
         try:
-            if len(row) != width:
-                raise ValueError("needs %d values, got %d" % (width, len(row)))
-            values += [float(t) for t in row]
+            values += map(float, row)
         except ValueError as exc:
-            # The rows before the first malformed one are still measured.
-            malformed = _UsageError("--pairs row %d: %s" % (lineno, exc))
+            # Drop the row's good tokens: the rows before it are still measured.
+            done = len(values) // width * width
+            token = row[len(values) - done]
+            del values[done:]
+            malformed = _UsageError("--pairs row %d: %s" % (lineno, _bad_float(token, exc)))
             break
     # Rows x0, y0, x1, y1, ...: normalize reports the first bad point in file order.
     points = space.normalize(np.array(values).reshape(-1, space.n + 1))
@@ -138,19 +153,28 @@ def _dist_bulk(space: Space, path: str) -> List[Measure]:
     return measures
 
 
-def _dist_text(measures: Sequence[Measure], output: str, single: bool = False) -> str:
+def _dist_text(measures: Measures, output: str, single: bool = False) -> str:
     """dist's output, with the bytes json.dumps(sort_keys=True) gives for the
-    Measures' to_dict(), a list of them unless single, or csv.writer for
+    rows' Measure.to_dict(), a list of them unless single, or csv.writer for
     (repr(phi), level, kind) under a phi,level,kind header: both write a
     finite float as float.__repr__ does.  A non-finite phi raises DomainError.
     """
-    rows = list(map(operator.attrgetter("kind", "level", "value"), measures))
-    for idx, (_, _, phi) in enumerate(rows, 1):
-        if not math.isfinite(phi):
-            raise DomainError("phi of pair %d is %r, not a finite number" % (idx, phi))
+    finite = np.isfinite(measures.values)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise DomainError("phi of pair %d is %r, not a finite number" % (idx + 1, float(measures.values[idx])))
+    level = measures.level
     if output == "csv":
-        return "\n".join(["phi,level,kind", *["%r,%d,%s" % (phi, level, kind) for kind, level, phi in rows]])
-    lines = ['{"kind": "%s", "level": %d, "phi": %r}' % row for row in rows]
+        real, imaginary = "%%r,%d,real" % level, "%%r,%d,imaginary" % level
+    else:
+        real = '{"kind": "real", "level": %d, "phi": %%r}' % level
+        imaginary = '{"kind": "imaginary", "level": %d, "phi": %%r}' % level
+    lines = [
+        (imaginary if kind else real) % phi
+        for phi, kind in zip(measures.values.tolist(), measures.imaginary.tolist())
+    ]
+    if output == "csv":
+        return "\n".join(["phi,level,kind", *lines])
     return lines[0] if single else "[%s]" % ", ".join(lines)
 
 

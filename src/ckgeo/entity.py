@@ -83,10 +83,16 @@ class MPlane:
         return self.cols.shape[-1] - 1
 
     def minor_vector(self) -> np.ndarray:
-        """Maximal minors in lexicographic row-tuple order (cached)."""
+        """Maximal minors in lexicographic row-tuple order (cached).
+
+        A stack's minors are made C-contiguous: numpy's vecdot adds a row
+        that is strided along the summed axis in another order than a
+        contiguous one, so only then does each row of a plane stack give the
+        product bits it gives alone.
+        """
         if self._minors is None:
             rows = kernel.product_arrays(self.space.sig, self.m).rows
-            vals = _det(self.cols[..., rows, :])
+            vals = np.ascontiguousarray(_det(self.cols[..., rows, :]))
             vals.setflags(write=False)
             object.__setattr__(self, "_minors", vals)
         return self._minors

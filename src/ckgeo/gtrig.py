@@ -71,15 +71,20 @@ def gmeasure_from_cs(k: int, c: float, s: float, tol: float = tolerance.PAIR) ->
     DomainError first: the consistency test cannot see one.  Principal
     ranges: [0, pi] for k == 1, [0, inf) otherwise.
     """
-    _check_char(k)
+    if k not in (-1, 0, 1):  # _check_char, inlined on this per-row path
+        raise ValueError("characteristic must be one of -1, 0, 1")
     if not (math.isfinite(c) and math.isfinite(s)):
         raise DomainError("pair (%r, %r) is not finite" % (c, s))
     if s < 0.0:
         if s < -tol:
             raise InconsistentPair("sine-like value must be nonnegative, got %r" % (s,))
         s = 0.0
-    scale = max(1.0, c * c, abs(k) * s * s)
-    if abs(c * c + k * s * s - 1.0) > tol * scale:
+    # scale = max(1, c^2, |k| s^2), compared out rather than through max()
+    cc, ss = c * c, s * s
+    scale = cc if cc > 1.0 else 1.0
+    if k and ss > scale:
+        scale = ss
+    if abs(cc + k * ss - 1.0) > tol * scale:
         raise InconsistentPair(
             "pair (%r, %r) violates c^2 + (%d)s^2 = 1" % (c, s, k)
         )
@@ -91,5 +96,7 @@ def gmeasure_from_cs(k: int, c: float, s: float, tol: float = tolerance.PAIR) ->
         return s
     if c + s <= 0.0:
         raise DomainError("hyperbolic inversion needs c + s > 0, got %r" % (c + s,))
-    # log1p keeps precision when x is small and c + s is barely above 1.
-    return math.log1p((c - 1.0) + s)
+    # log1p keeps precision when x is small and c + s is barely above 1; a
+    # computed c just below 1 with s snapped to 0 would give x < 0 (or -0.0).
+    x = math.log1p((c - 1.0) + s)
+    return x if x > 0.0 else 0.0

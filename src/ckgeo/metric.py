@@ -51,24 +51,54 @@ class Measure:
         return {"phi": self.value, "level": self.level, "kind": self.kind}
 
 
+@dataclass(frozen=True, eq=False)
+class Measures:
+    """The measures of a stack of pairs, in row order: read-only copies of
+    the float values and of the bool mask of imaginary ones, at one level.
+
+    len, indexing and iteration give each row as a Measure.
+    """
+
+    values: np.ndarray
+    imaginary: np.ndarray
+    level: int
+
+    def __post_init__(self):
+        for name, dtype in (("values", float), ("imaginary", bool)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> Measure:
+        return Measure(float(self.values[i]), self.level, "imaginary" if self.imaginary[i] else "real")
+
+    def __iter__(self):
+        for value, imaginary in zip(self.values.tolist(), self.imaginary.tolist()):
+            yield Measure(value, self.level, "imaginary" if imaginary else "real")
+
+
 def _measure_pair(k: int, c, s, level: int):
-    """The Measures of the products (c, s) of Space._point_products or
-    _plane_products at characteristic k: one for a single pair (0-d arrays),
-    the list of them for a stack, whose first unmeasurable row raises."""
-    measures = [
-        Measure(gmeasure_from_cs(-k, abs(cv), sv.imag), level, "imaginary")
-        if sv.imag
-        else Measure(gmeasure_from_cs(k, cv, sv.real), level)
+    """The measures of the products (c, s) of Space._point_products or
+    _plane_products at characteristic k: a Measure for a single pair (0-d
+    arrays), Measures for a stack, whose first unmeasurable row raises."""
+    values = [
+        gmeasure_from_cs(-k, abs(cv), sv.imag) if sv.imag else gmeasure_from_cs(k, cv, sv.real)
         for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist())
     ]
-    return measures if np.ndim(s) else measures[0]
+    if np.ndim(s):
+        # A nonzero imaginary part reads as True in the bool mask.
+        return Measures(values, np.ravel(s).imag, level)
+    return Measure(values[0], level, "imaginary" if s.imag else "real")
 
 
 def distance(space: Space, x, y):
     """Level-1 measure between unit points.
 
-    On two (N, n+1) stacks of unit points it gives the list of the N
-    row-wise measures; the first pair that cannot be measured raises.
+    On two (N, n+1) stacks of unit points it gives the Measures of the N
+    rows; the first pair that cannot be measured raises.
     """
     return _measure_pair(space.sig[0], *space._point_products(x, y), 1)
 
@@ -80,19 +110,22 @@ def identified_distance(space: Space, x, y):
     antipodal classes); this helper folds a real one to min(phi, pi - phi).
     An imaginary one is measured from |dot|, the same for both
     representatives, so it is already a class distance and is kept.  On two
-    (N, n+1) stacks of unit points it gives the list of the N folded values.
+    (N, n+1) stacks of unit points it gives the read-only array of the N
+    folded values.
     """
     if space.sig[0] != 1:
         raise DomainError("antipodal identification needs k_1 = 1")
     d = distance(space, x, y)
-    measures = d if isinstance(d, list) else [d]
-    folded = [min(m.value, math.pi - m.value) if m.kind == "real" else m.value for m in measures]
-    return folded if isinstance(d, list) else folded[0]
+    if isinstance(d, Measure):
+        return min(d.value, math.pi - d.value) if d.kind == "real" else d.value
+    folded = np.where(d.imaginary, d.values, np.minimum(d.values, math.pi - d.values))
+    folded.setflags(write=False)
+    return folded
 
 
 def angle(space: Space, X: MPlane, Y: MPlane):
-    """Level-(m+1) measure between two m-planes; the list of row-wise
-    measures when X and Y hold stacks of planes."""
+    """Level-(m+1) measure between two m-planes; the Measures of the rows
+    when X and Y hold stacks of planes."""
     return _measure_pair(space.sig[X.m], *space._plane_products(X, Y), X.m + 1)
 
 

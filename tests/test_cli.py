@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckgeo import DomainError, GeometryError, Measure, NonDivisible, Space, cli, distance
+from ckgeo import DomainError, GeometryError, Measure, Measures, NonDivisible, Space, cli, distance
 from ckgeo.cli import _dist_text, main
 
 SRC = Path(cli.__file__).resolve().parent.parent
@@ -154,6 +154,40 @@ def test_dist_bulk_empty_file(capsys, tmp_path):
         assert want == _encoder_text([], output)
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "dist_golden.json").read_text())
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("case", GOLDEN["pairs"], ids=[case["space"] for case in GOLDEN["pairs"]])
+def test_dist_bulk_stdout_is_the_golden_bytes(capsys, tmp_path, case, output):
+    """`dist --pairs` writes the bytes recorded in tests/data/dist_golden.json.
+
+    The fixture was written before stacks measured into Measures, by running
+    cli.main with stdout captured.  For each signature S of the nine planar
+    ones, ehe and hehe, its "rows" are perfbench.gen.pairs_csv of
+    perfbench.gen.make_pairs(S, random.Random("golden:" + S), 12)[0]: 12
+    seeded pairs, near-coincident and imaginary ones among them.  Its "json"
+    and "csv" are the stdout of `dist --space S --pairs FILE --output json`
+    and `--output csv` on those rows.  The "singles" are the --p and --q
+    halves of row 0 of ee (json), row 1 of eh (csv) and row 2 of hehe (json).
+    """
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(case["rows"])
+    assert run(capsys, "dist", "--space", case["space"], "--pairs", str(pairs), "--output", output) == (
+        0,
+        case[output],
+        "",
+    )
+
+
+@pytest.mark.parametrize("case", GOLDEN["singles"], ids=[case["space"] for case in GOLDEN["singles"]])
+def test_dist_single_stdout_is_the_golden_bytes(capsys, case):
+    """`dist --p --q` writes the bytes recorded in tests/data/dist_golden.json
+    (see test_dist_bulk_stdout_is_the_golden_bytes)."""
+    argv = ("dist", "--space", case["space"], "--p=" + case["p"], "--q=" + case["q"], "--output", case["output"])
+    assert run(capsys, *argv) == (0, case["stdout"], "")
+
+
 def _bulk_error(capsys, tmp_path, space, lines):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("".join(line + "\n" for line in lines))
@@ -236,6 +270,11 @@ def test_dist_rows_are_the_encoders_bytes(capsys, tmp_path, sig, output):
         assert run(capsys, *argv) == (0, _encoder_text([m], output, single=True), "")
 
 
+def _stack(measures):
+    """Measures of level-1 Measure rows, the stack _dist_text writes."""
+    return Measures([m.value for m in measures], [m.kind == "imaginary" for m in measures], 1)
+
+
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_dist_text_of_extreme_phi_is_the_encoders_bytes(output):
     measures = [
@@ -246,23 +285,23 @@ def test_dist_text_of_extreme_phi_is_the_encoders_bytes(output):
         Measure(0.0, 1),
         Measure(123456789.0, 1),
     ]
-    assert _dist_text(measures, output) + "\n" == _encoder_text(measures, output)
+    assert _dist_text(_stack(measures), output) + "\n" == _encoder_text(measures, output)
     for m in measures:
-        assert _dist_text([m], output, single=True) + "\n" == _encoder_text([m], output, single=True)
+        assert _dist_text(_stack([m]), output, single=True) + "\n" == _encoder_text([m], output, single=True)
 
 
 @pytest.mark.parametrize("phi", [math.inf, math.nan])
 def test_dist_text_refuses_a_non_finite_phi(phi):
     with pytest.raises(DomainError, match="phi of pair 2"):
-        _dist_text([Measure(0.5, 1), Measure(phi, 1)], "json")
+        _dist_text(_stack([Measure(0.5, 1), Measure(phi, 1)]), "json")
     with pytest.raises(DomainError, match="phi of pair 1"):
-        _dist_text([Measure(phi, 1, "imaginary")], "csv", single=True)
+        _dist_text(_stack([Measure(phi, 1, "imaginary")]), "csv", single=True)
 
 
 def test_dist_non_finite_phi_exits_with_one_json_error_line(capsys, tmp_path, monkeypatch):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("1,0,0,2,0.5,0\n")
-    monkeypatch.setattr(cli, "distance", lambda space, x, y: [Measure(math.inf, 1)])
+    monkeypatch.setattr(cli, "distance", lambda space, x, y: _stack([Measure(math.inf, 1)]))
     code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and json.loads(err)["error"] == "DomainError"
@@ -273,6 +312,7 @@ def _bulk_usage_message(capsys, tmp_path, lines):
     pairs.write_text("".join(line + "\n" for line in lines))
     code, out, err = run(capsys, "dist", "--space", "he", "--pairs", str(pairs))
     assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 1000
     payload = json.loads(err)
     assert payload["error"] == "usage"
     return payload["message"]
@@ -290,10 +330,24 @@ def _bulk_usage_message(capsys, tmp_path, lines):
         (["1,0,0,2,0.5,0", "", "1,0,0,2,0.5,0,7"], "--pairs row 2: needs 6 values, got 7"),
         # the first malformed row wins
         (["1,0,0,2,0.5,0", "1,0,0,2,0.5", "1,0,0,x,0,0"], "--pairs row 2: needs 6 values, got 5"),
+        # a token over 80 characters is reported by its first 40 and its length
+        (
+            ["1,0,0,2,0.5,0", "1,0," + "x" * 140000 + ",2,0.5,0"],
+            "--pairs row 2: could not convert string to float: '%s'... (140000 characters)" % ("x" * 40),
+        ),
+        (["1,0,0,2," + "y" * 81 + ",0"], "--pairs row 1: could not convert string to float: '%s'... (81 characters)" % ("y" * 40)),
+        (["1,0,0,2," + "y" * 80 + ",0"], "--pairs row 1: could not convert string to float: '%s'" % ("y" * 80)),
     ],
 )
 def test_dist_bulk_usage_messages(capsys, tmp_path, lines, message):
     assert _bulk_usage_message(capsys, tmp_path, lines) == message
+
+
+def test_dist_p_bounds_a_long_token_as_pairs_does(capsys):
+    for token, shown in (("x" * 100000, "'%s'... (100000 characters)" % ("x" * 40)), ("x" * 80, repr("x" * 80))):
+        code, out, err = run(capsys, "dist", "--space", "pe", "--p", "1,0," + token, "--q", "1,0,0")
+        assert (code, out) == (2, "") and err.count("\n") == 1 and len(err.encode()) < 1000
+        assert json.loads(err) == {"error": "usage", "message": "--p: could not convert string to float: " + shown}
 
 
 def test_dist_bulk_parses_what_float_parses(capsys, tmp_path):

@@ -16,6 +16,7 @@ from ckgeo import (
     NoSolution,
     Space,
     Measure,
+    Measures,
     Triangle,
     TriangleMeasurements,
     angle,
@@ -73,6 +74,40 @@ def test_distance_self_is_zero():
     assert distance(EE, p, p).value == 0.0
 
 
+def test_self_measures_are_nonnegative_where_k_is_minus_one():
+    # A computed c just below 1 with s snapped to 0 gave log1p(c - 1) < 0, down
+    # to -2.2e-11 in hee, or -0.0: signbit is set for both.  Recipe: seeded
+    # self-pairs in every signature with k1 = -1 and n <= 3, and self-angles of
+    # the first m + 1 columns of random_transform words where k_{m+1} = -1.
+    def nonnegative(values):
+        return not np.signbit(values).any()
+
+    rng = random.Random(2)
+    for n in (1, 2, 3):
+        for sig in itertools.product((-1, 0, 1), repeat=n):
+            if sig[0] != -1:
+                continue
+            sp = Space(sig)
+            points = []
+            for _ in range(300):
+                try:
+                    points.append(sp.normalize([1.0] + [rng.uniform(-0.9, 0.9) for _ in range(n)]))
+                except GeometryError:
+                    continue
+            assert len(points) >= 150
+            X = np.array(points)
+            assert nonnegative(distance(sp, X, X).values), sig
+    for n in (2, 3, 4):
+        for sig in itertools.product((-1, 0, 1), repeat=n):
+            sp = Space(sig)
+            for m in range(1, n):
+                if sig[m] != -1:
+                    continue
+                X = np.array([random_transform(sp, seed).matrix[:, : m + 1] for seed in range(20)])
+                X = MPlane(sp, X, validate=False)
+                assert nonnegative(angle(sp, X, X).values), (sig, m)
+
+
 def test_distance_imaginary_kind_uses_dual_characteristic():
     sp = Space((1, -1))
     t = 0.9
@@ -81,6 +116,23 @@ def test_distance_imaginary_kind_uses_dual_characteristic():
     d = distance(sp, x, y)
     assert d.kind == "imaginary"
     assert d.value == pytest.approx(t, rel=1e-12)
+
+
+# The nine planar signatures and two higher ones with imaginary separations.
+STACK_SIGS = ["".join(p) for p in itertools.product("hpe", repeat=2)] + ["ehe", "hehe"]
+
+
+def _bits(m):
+    return type(m.value), m.value.hex(), m.level, m.kind
+
+
+def _check_stack(got, alone):
+    """got is read-only Measures whose rows have the bits and kinds of the rows measured alone."""
+    assert isinstance(got, Measures)
+    assert got.values.dtype == float and got.imaginary.dtype == bool
+    assert not got.values.flags.writeable and not got.imaginary.flags.writeable
+    assert len(got) == len(alone)
+    assert [_bits(m) for m in got] == [_bits(got[i]) for i in range(len(got))] == [_bits(m) for m in alone]
 
 
 def test_distance_on_stacks_lists_row_measures():
@@ -92,25 +144,46 @@ def test_distance_on_stacks_lists_row_measures():
     assert [m.kind for m in got] == ["real", "imaginary", "real"]
     assert all(type(m.value) is float for m in got)
     assert got[1].value == pytest.approx(t, rel=1e-12)
-    assert got == [distance(sp, np.array(x), np.array(y)) for x, y in zip(X, Y)]
+    alone = [distance(sp, np.array(x), np.array(y)) for x, y in zip(X, Y)]
+    assert list(got) == alone
+    _check_stack(got, alone)
+
+    rng = np.random.default_rng(29)
+    for sig in STACK_SIGS:
+        sp = Space(sig)
+        raw = rng.uniform(-1.0, 1.0, (2, 24, sp.n + 1))
+        raw[:, :, 0] = 2.0  # a positive self-product in every signature
+        raw[1, ::3] = raw[0, ::3] + 1e-6 * raw[1, ::3]  # near-coincident rows
+        x, y = sp.normalize(raw[0]), sp.normalize(raw[1])
+        rows, alone = [], []
+        for i in range(len(x)):
+            try:
+                alone.append(distance(sp, x[i], y[i]))
+            except GeometryError:
+                continue
+            rows.append(i)
+        assert len(rows) >= 12
+        _check_stack(distance(sp, x[rows], y[rows]), alone)
 
 
 def test_angle_on_plane_stacks_matches_planes():
     # lines through the base point, moved by seeded words of rotations
-    sp = Space("ehe")
-    base = np.eye(4)[:, :2]
-    X = np.array([random_transform(sp, seed).matrix @ base for seed in range(8)])
-    Y = np.array([random_transform(sp, seed + 100).matrix @ base for seed in range(8)])
-    rows, measures = [], []
-    for i in range(8):
-        try:
-            measures.append(angle(sp, MPlane(sp, X[i], validate=False), MPlane(sp, Y[i], validate=False)))
-        except GeometryError:
-            continue
-        rows.append(i)
-    assert len(rows) >= 4
-    got = angle(sp, MPlane(sp, X[rows], validate=False), MPlane(sp, Y[rows], validate=False))
-    assert got == measures
+    for sig in STACK_SIGS:
+        sp = Space(sig)
+        base = np.eye(sp.n + 1)[:, :2]
+        X = np.array([random_transform(sp, seed).matrix @ base for seed in range(8)])
+        Y = np.array([random_transform(sp, seed + 100).matrix @ base for seed in range(8)])
+        rows, measures = [], []
+        for i in range(8):
+            try:
+                measures.append(angle(sp, MPlane(sp, X[i], validate=False), MPlane(sp, Y[i], validate=False)))
+            except GeometryError:
+                continue
+            rows.append(i)
+        assert len(rows) >= 4
+        got = angle(sp, MPlane(sp, X[rows], validate=False), MPlane(sp, Y[rows], validate=False))
+        assert list(got) == measures
+        _check_stack(got, measures)
     with pytest.raises(DimensionMismatch):
         MPlane(sp, X)  # stacks are taken as given, never validated
 
@@ -153,14 +226,18 @@ def test_identified_distance_takes_shorter_arc():
 
 def test_identified_distance_folds_stacks_row_by_row():
     rng = np.random.default_rng(23)
-    for sig in ("ee", "ep", "eh", "eee", "ehp"):
+    for sig in ("ee", "ep", "eh", "eee", "ehp", "ehe"):
         sp = Space(sig)
         raw = rng.uniform(-1.0, 1.0, (2, 40, sp.n + 1))
         raw[:, :, 0] = 2.0  # a positive self-product in every signature
         x, y = sp.normalize(raw[0]), sp.normalize(raw[1])
         y = y * rng.choice((-1.0, 1.0), (40, 1))  # both sides of pi/2
         folded = identified_distance(sp, x, y)
-        assert folded == [identified_distance(sp, a, b) for a, b in zip(x, y)]
+        assert isinstance(folded, np.ndarray) and folded.dtype == float and not folded.flags.writeable
+        alone = [identified_distance(sp, a, b) for a, b in zip(x, y)]
+        assert all(type(v) is float for v in alone)
+        assert folded.tolist() == alone
+        assert [v.hex() for v in folded.tolist()] == [v.hex() for v in alone]
         assert any(m.value > math.pi / 2 for m in distance(sp, x, y))
 
 
