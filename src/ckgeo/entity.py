@@ -101,17 +101,26 @@ class MPlane:
         return "MPlane(m=%d, space=%s)" % (self.m, kernel.format_signature(self.space.sig))
 
 
+# Columns of the 2 x 2 cofactors of row 0 of a 3 x 3: entry j is
+# sub[1, _COF_A[j]] * sub[2, _COF_B[j]] - sub[1, _COF_B[j]] * sub[2, _COF_A[j]].
+_COF_A, _COF_B = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
 def _det(sub: np.ndarray) -> np.ndarray:
-    """Determinants over the last two axes, by cofactors up to 3 x 3."""
+    """Determinants over the last two axes, by cofactors up to 3 x 3.
+
+    A 3 x 3 expands along row 0, a00 c0 - a01 c1 + a02 c2, as three array
+    products: the cofactors' two terms, then row 0 times the cofactors.
+    """
     d = sub.shape[-1]
     if d == 2:
         return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
     if d == 3:
-        return (
-            sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
-            - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
-            + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
-        )
+        r1, r2 = sub[..., 1, :], sub[..., 2, :]
+        a1, b1 = r1.take(_COF_A, axis=-1), r1.take(_COF_B, axis=-1)
+        cof = a1 * r2.take(_COF_B, axis=-1) - b1 * r2.take(_COF_A, axis=-1)
+        terms = sub[..., 0, :] * cof
+        return terms[..., 0] - terms[..., 1] + terms[..., 2]
     return np.linalg.det(sub)
 
 

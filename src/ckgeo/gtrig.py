@@ -22,11 +22,11 @@ def _check_char(k: int) -> int:
 
 def gcos(k: int, x: float) -> float:
     """Cosine-like kernel: cos(x), 1, or cosh(x) depending on k."""
-    _check_char(k)
     if k == 1:
         return math.cos(x)
     if k == 0:
         return 1.0
+    _check_char(k)
     try:
         return math.cosh(x)
     except OverflowError:
@@ -35,11 +35,11 @@ def gcos(k: int, x: float) -> float:
 
 def gsin(k: int, x: float) -> float:
     """Sine-like kernel: sin(x), x, or sinh(x) depending on k."""
-    _check_char(k)
     if k == 1:
         return math.sin(x)
     if k == 0:
         return float(x)
+    _check_char(k)
     try:
         return math.sinh(x)
     except OverflowError:

@@ -229,9 +229,12 @@ class ProductArrays:
     coefficient in its first column and 1 in its second.  Both methods work
     on one minor vector or on stacks of them (any leading axes that
     broadcast; others raise DimensionMismatch naming both shapes).  They sum
-    with numpy's vecdot and vecmat, which add each row's terms in the same
-    order whatever the stack size or memory alignment, so a pair gives the
-    same bits alone as in a stack; results of matmul depend on both.
+    with numpy's vecdot and vecmat, which add the terms of a row that is
+    unit-stride along the last axis in the same order whatever the stack
+    size or memory alignment, so such a pair gives the same bits alone as in
+    a stack; results of matmul depend on both.  A row strided along the last
+    axis (a Fortran-ordered stack, the columns of a matrix as mat.T) may be
+    summed in another order.
     """
 
     rows: np.ndarray

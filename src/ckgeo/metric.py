@@ -80,18 +80,29 @@ class Measures:
             yield Measure(value, self.level, "imaginary" if imaginary else "real")
 
 
-def _measure_pair(k: int, c, s, level: int):
-    """The measures of the products (c, s) of Space._point_products or
-    _plane_products at characteristic k: a Measure for a single pair (0-d
-    arrays), Measures for a stack, whose first unmeasurable row raises."""
-    values = [
-        gmeasure_from_cs(-k, abs(cv), sv.imag) if sv.imag else gmeasure_from_cs(k, cv, sv.real)
+def _measure_rows(k: int, c, s, level: int) -> list:
+    """The Measure of each row of the products (c, s) of
+    Space._point_products or _plane_products at characteristic k, in row
+    order; the first row that cannot be measured raises."""
+    return [
+        Measure(gmeasure_from_cs(-k, abs(cv), sv.imag), level, "imaginary")
+        if sv.imag
+        else Measure(gmeasure_from_cs(k, cv, sv.real), level)
         for cv, sv in zip(np.ravel(c).tolist(), np.ravel(s).tolist())
     ]
-    if np.ndim(s):
-        # A nonzero imaginary part reads as True in the bool mask.
-        return Measures(values, np.ravel(s).imag, level)
-    return Measure(values[0], level, "imaginary" if s.imag else "real")
+
+
+def _measure_pair(k: int, c, s, level: int):
+    """The measures of the products (c, s) as _measure_rows takes them: a
+    Measure for a single pair (0-d arrays), Measures for a stack."""
+    if not np.ndim(s):
+        return _measure_rows(k, c, s, level)[0]
+    values = [
+        gmeasure_from_cs(-k, abs(cv), sv.imag) if sv.imag else gmeasure_from_cs(k, cv, sv.real)
+        for cv, sv in zip(c.ravel().tolist(), s.ravel().tolist())
+    ]
+    # A nonzero imaginary part reads as True in the bool mask.
+    return Measures(values, s.ravel().imag, level)
 
 
 def distance(space: Space, x, y):
@@ -283,7 +294,7 @@ def _angles_between_rays(space: Space, vertices, rays) -> list:
     at = vertices[:, None, :]
     minors = at.take(i, axis=-1) * rays.take(j, axis=-1) - rays.take(i, axis=-1) * at.take(j, axis=-1)
     x, y = minors[:, 0], minors[:, 1]
-    return _measure_pair(space.sig[1], pa.dot(x, y), _root(*pa.cross(x, y)), 2)
+    return _measure_rows(space.sig[1], pa.dot(x, y), _root(*pa.cross(x, y)), 2)
 
 
 def measure_triangle(tri: Triangle) -> TriangleMeasurements:
@@ -308,7 +319,7 @@ def measure_triangle(tri: Triangle) -> TriangleMeasurements:
     with np.errstate(over="ignore", invalid="ignore"):
         dots = kernel.product_arrays(sp.sig, 0).dot(x, y)
         # Rows BC, AC, AB: the sides a, b, c.
-        a, b, c = _measure_pair(sp.sig[0], dots[::-1], roots[::-1], 1)
+        a, b, c = _measure_rows(sp.sig[0], dots[::-1], roots[::-1], 1)
         # Rays toward B and C at A, toward A and C at B, toward A and B at C;
         # the Triangle invariant keeps every one real.
         rays = _direction(
@@ -362,12 +373,64 @@ class LawReport:
 def _rel(lhs: float, rhs: float) -> float:
     """Difference scaled by the larger magnitude; exact laws stay near eps
     even where tangents run to their poles."""
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    # scale = max(1, |lhs|, |rhs|), compared out rather than through max(),
+    # which skips a NaN the same way
+    scale, left, right = 1.0, abs(lhs), abs(rhs)
+    if left > scale:
+        scale = left
+    if right > scale:
+        scale = right
+    return abs(lhs - rhs) / scale
 
 
 def _require_finite_reading(key: str, reading: str, value: float) -> None:
     if not math.isfinite(value):
         raise DomainError("%s %s is %r, not a finite number" % (key, reading, value))
+
+
+def _record(report: LawReport, key: str, printed: float, corrected: float) -> None:
+    """Enter a disputed law's two readings, its winner and the smaller residual."""
+    _require_finite_reading(key, "as-printed", printed)
+    _require_finite_reading(key, "corrected", corrected)
+    report.variant_values[key] = {"as-printed": printed, "corrected": corrected}
+    if math.isclose(printed, corrected, rel_tol=tolerance.TIE_REL, abs_tol=tolerance.TIE_ABS):
+        report.variants[key] = "tie"
+    else:
+        report.variants[key] = "as-printed" if printed < corrected else "corrected"
+    report.residuals[key] = min(printed, corrected)
+
+
+def _tangent_law(k12, klevel, lhs, t1, t2, cos_other, sin_printed, sin_corrected, sign):
+    """Shared shape of eq20-eq25: squared tangent against the two-term
+    expansion, read with the printed and the corrected sine in the quartic
+    term, whose coefficient is k12 = k1 k2; klevel is the characteristic
+    whose tangents appear in the denominator.  The two sides are compared
+    as ratios both ways round, so the relation stays checkable where the
+    tangents run to poles and both sides diverge together."""
+    num = t1 * t1 + t2 * t2 + sign * 2.0 * t1 * t2 * cos_other
+    den = 1.0 - sign * klevel * t1 * t2 * cos_other
+    u = lhs * lhs
+    if not k12:
+        # The coefficient is an exact integer; where it is 0 the term is not
+        # formed, since 0 * inf would be NaN.
+        resid = _tangent_resid(u, num, den)
+        return resid, resid
+    quartic = k12 * t1 * t1 * t2 * t2
+    return (
+        _tangent_resid(u, num + quartic * (sin_printed * sin_printed), den),
+        _tangent_resid(u, num + quartic * (sin_corrected * sin_corrected), den),
+    )
+
+
+def _tangent_resid(u: float, num: float, den: float) -> float:
+    """The smaller of u against num / den^2 and 1/u against den^2 / num,
+    each formed only where its divisor is nonzero; inf when neither is."""
+    best = math.inf
+    if den != 0.0:
+        best = _rel(u, num / (den * den))
+    if u != 0.0 and num != 0.0:
+        best = min(best, _rel(1.0 / u, den * den / num))
+    return best
 
 
 def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
@@ -406,10 +469,8 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     Tal, Tbp, Tga = _tan(k2, al, Cal, Sal), _tan(k2, bp, Cbp, Sbp), _tan(k2, ga, Cga, Sga)
     S2a, S2b, S2c = gsin(k2, a), gsin(k2, b), gsin(k2, c)
 
-    residuals: Dict[str, float] = {}
-    variant_values: Dict[str, Dict[str, float]] = {}
-    variants: Dict[str, str] = {}
-
+    report = LawReport({}, {}, {})
+    residuals = report.residuals
     residuals["eq13"] = max(
         _rel(Sa * Sbp, Sb * Sal),
         _rel(Sa * Sga, Sc * Sal),
@@ -423,54 +484,20 @@ def law_residuals(space: Space, tm: TriangleMeasurements) -> LawReport:
     for key, value in residuals.items():
         _require_finite_reading(key, "residual", value)
 
-    def record(key: str, printed: float, corrected: float) -> None:
-        _require_finite_reading(key, "as-printed", printed)
-        _require_finite_reading(key, "corrected", corrected)
-        variant_values[key] = {"as-printed": printed, "corrected": corrected}
-        if math.isclose(printed, corrected, rel_tol=tolerance.TIE_REL, abs_tol=tolerance.TIE_ABS):
-            variants[key] = "tie"
-        else:
-            variants[key] = "as-printed" if printed < corrected else "corrected"
-        residuals[key] = min(printed, corrected)
-
-    record(
+    k12 = k1 * k2
+    _record(
+        report,
         "eq19",
         _rel(Cga, Cal * Cbp + k2 * Sal * Sbp * Ca),
         _rel(Cga, Cal * Cbp + k2 * Sal * Sbp * Cc),
     )
-
-    def tangent_law(klevel, lhs, t1, t2, cos_other, sin_printed, sin_corrected, sign):
-        """Shared shape of eq20-eq25: squared tangent against the two-term
-        expansion; klevel is the characteristic whose tangents appear in the
-        denominator.  The two sides are compared as ratios both ways round,
-        so the relation stays checkable where the tangents run to poles and
-        both sides diverge together."""
-
-        def resid(sq):
-            num = t1 * t1 + t2 * t2 + sign * 2.0 * t1 * t2 * cos_other
-            if k1 * k2:
-                # The quartic term's coefficient is an exact integer; where it
-                # is 0 the term is not formed, since 0 * inf would be NaN.
-                num += k1 * k2 * t1 * t1 * t2 * t2 * sq
-            den = 1.0 - sign * klevel * t1 * t2 * cos_other
-            u = lhs * lhs
-            best = math.inf
-            if den != 0.0:
-                best = _rel(u, num / (den * den))
-            if u != 0.0 and num != 0.0:
-                best = min(best, _rel(1.0 / u, den * den / num))
-            return best
-
-        return resid(sin_printed * sin_printed), resid(sin_corrected * sin_corrected)
-
-    record("eq20", *tangent_law(k1, Ta, Tb, Tc, Cal, S1al, Sal, -1.0))
-    record("eq21", *tangent_law(k1, Tb, Ta, Tc, Cbp, S1bp, Sbp, +1.0))
-    record("eq22", *tangent_law(k1, Tc, Ta, Tb, Cga, S1ga, Sga, -1.0))
-    record("eq23", *tangent_law(k2, Tal, Tbp, Tga, Ca, Sa, S2a, -1.0))
-    record("eq24", *tangent_law(k2, Tbp, Tal, Tga, Cb, Sb, S2b, +1.0))
-    record("eq25", *tangent_law(k2, Tga, Tal, Tbp, Cc, Sc, S2c, -1.0))
-
-    return LawReport(residuals, variant_values, variants)
+    _record(report, "eq20", *_tangent_law(k12, k1, Ta, Tb, Tc, Cal, S1al, Sal, -1.0))
+    _record(report, "eq21", *_tangent_law(k12, k1, Tb, Ta, Tc, Cbp, S1bp, Sbp, +1.0))
+    _record(report, "eq22", *_tangent_law(k12, k1, Tc, Ta, Tb, Cga, S1ga, Sga, -1.0))
+    _record(report, "eq23", *_tangent_law(k12, k2, Tal, Tbp, Tga, Ca, Sa, S2a, -1.0))
+    _record(report, "eq24", *_tangent_law(k12, k2, Tbp, Tal, Tga, Cb, Sb, S2b, +1.0))
+    _record(report, "eq25", *_tangent_law(k12, k2, Tga, Tal, Tbp, Cc, Sc, S2c, -1.0))
+    return report
 
 
 # -- right triangles --------------------------------------------------------

@@ -214,7 +214,8 @@ def validate(space: Space, matrix) -> ValidationReport:
     c_i (.) c_j = K_min(i,j) delta_ij are verified directly (plus |det| = 1).
     In degenerate signatures those relations underdetermine the group, so the
     weak column relations are combined with preservation of point dot and
-    cross products on a fixed seeded sample of raw vector pairs.  A
+    cross products on a fixed seeded sample of raw vector pairs, whose own
+    products are formed once per signature.  A
     non-finite entry, or else one above tolerance.ENTRY_LIMIT in magnitude,
     raises DomainError naming its index, before any product is formed.
     """
@@ -244,14 +245,11 @@ def validate(space: Space, matrix) -> ValidationReport:
         worst = max(worst_cols, det_resid)
         return ValidationReport(worst <= tolerance.ISOMETRY, "direct", worst, tuple(checks))
 
-    x, y = _sample_pairs(space.n + 1)
+    x, y, dots, radicands = _sample_products(space.sig)
     gx, gy = x @ mat.T, y @ mat.T
     ref = max(1.0, scale * scale)
-    worst_dot = float(np.abs(space.dot_points(gx, gy) - space.dot_points(x, y)).max()) / ref
-    worst_cross = (
-        float(np.abs(space.point_cross_radicand(gx, gy) - space.point_cross_radicand(x, y)).max())
-        / ref
-    )
+    worst_dot = float(np.abs(space.dot_points(gx, gy) - dots).max()) / ref
+    worst_cross = float(np.abs(space.point_cross_radicand(gx, gy) - radicands).max()) / ref
     checks.append(("sampled_dot", worst_dot))
     checks.append(("sampled_cross", worst_cross))
     worst = max(worst_cols, worst_dot, worst_cross)
@@ -266,3 +264,16 @@ def _sample_pairs(dim: int) -> np.ndarray:
     draws = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * _SAMPLE_PAIRS * dim)])
     draws.setflags(write=False)
     return draws.reshape(_SAMPLE_PAIRS, 2, dim).transpose(1, 0, 2)
+
+
+@lru_cache(maxsize=None)
+def _sample_products(sig: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+    """The sampled pairs x, y of the signature's dimension with their own
+    point dot products and cross radicands, which every matrix validated in
+    it is compared against: read-only, built once per signature."""
+    space = Space(sig)
+    x, y = _sample_pairs(space.n + 1)
+    dots, radicands = space.dot_points(x, y), space.point_cross_radicand(x, y)
+    dots.setflags(write=False)
+    radicands.setflags(write=False)
+    return x, y, dots, radicands

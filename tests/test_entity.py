@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckgeo.entity import _root
+from ckgeo.entity import _det, _root
 from ckgeo import (
     DegenerateTriangle,
     DimensionMismatch,
@@ -418,6 +418,25 @@ def test_minor_vector_lexicographic():
     pl = MPlane(sp, cols)
     # minors ordered (01), (02), (12)
     assert list(pl.minor_vector()) == [1.0, 0.0, 0.0]
+
+
+def test_three_by_three_minors_are_the_written_out_cofactor_expansion():
+    # Row 0 against its cofactors, in this order, bit for bit: signed zeros,
+    # huge, tiny and non-finite entries included, alone and in stacks.
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e200, -1e-200, math.inf, math.nan, 1.0, -3.5])
+    sub = rng.uniform(-2.0, 2.0, (5, 7, 3, 3))
+    pick = rng.random(sub.shape) < 0.3
+    sub[pick] = rng.choice(special, size=int(pick.sum()))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = (
+            sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
+            - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
+            + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+        )
+        assert _det(sub).tobytes() == want.tobytes()
+        assert _det(sub[2, 3]).tobytes() == want[2, 3].tobytes()
+        assert _det(np.asfortranarray(sub[1])).tobytes() == want[1].tobytes()
 
 
 def test_angle_products_between_coordinate_lines():

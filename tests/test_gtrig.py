@@ -29,10 +29,17 @@ def test_gtan_values():
 
 
 def test_rejects_bad_characteristic():
-    with pytest.raises(ValueError):
-        gcos(2, 1.0)
-    with pytest.raises(ValueError):
-        gmeasure_from_cs(-2, 1.0, 0.0)
+    # Every kernel tests k == 1 and k == 0 first; any other non-member raises the same error.
+    for k in (2, -2, 0.5, math.nan, None, "1"):
+        for kernel, args in ((gcos, (1.0,)), (gsin, (1.0,)), (gtan, (1.0,)), (gmeasure_from_cs, (1.0, 0.0))):
+            with pytest.raises(ValueError, match=r"^characteristic must be one of -1, 0, 1$"):
+                kernel(k, *args)
+
+
+@pytest.mark.parametrize("k, same", [(1.0, 1), (True, 1), (0.0, 0), (False, 0), (-1.0, -1)])
+def test_characteristics_equal_to_an_integer_are_that_integer(k, same):
+    for x in (0.0, 0.7, -2.5):
+        assert repr(gcos(k, x)) == repr(gcos(same, x)) and repr(gsin(k, x)) == repr(gsin(same, x))
 
 
 @given(st.sampled_from((-1, 0, 1)), finite)

@@ -26,6 +26,7 @@ from ckgeo import (
     is_parallel,
     law_residuals,
     measure_triangle,
+    metric,
     random_transform,
     right_triangle_residuals,
     solve_sas,
@@ -400,6 +401,65 @@ def test_sas_measured_values_return_the_inputs():
     assert tm.all_real()
 
 
+def _bits(m):
+    return m.value.hex(), m.level, m.kind
+
+
+TM_FIELDS = ("a", "b", "c", "alpha", "beta_prime", "gamma")
+
+
+def test_measured_sas_triangles_are_distances_and_angles_on_the_public_route():
+    # 40 SAS draws per planar signature; every built triangle that measures
+    # gives the bits distance (sides) and angle (lines at each vertex) give.
+    measured = 0
+    for sig in itertools.product((1, 0, -1), repeat=2):
+        sp = Space(sig)
+        rng = random.Random(600 + 10 * sig[0] + sig[1])
+
+        def line(vertex, direction):
+            return MPlane(sp, np.column_stack([vertex, direction]), validate=False)
+
+        for _ in range(40):
+            b, alpha, c = (rng.uniform(0.05, 3.0) for _ in range(3))
+            try:
+                tri = triangle_from_sas(sp, b, alpha, c)
+                tm = measure_triangle(tri)
+            except GeometryError:
+                continue
+            measured += 1
+            A, B, C = tri.A, tri.B, tri.C
+            want = [
+                distance(sp, B, C),
+                distance(sp, A, C),
+                distance(sp, A, B),
+                angle(sp, line(A, sp.direction(A, B)), line(A, sp.direction(A, C))),
+                # exterior at B: the AB geodesic continued past B
+                angle(sp, line(B, -sp.direction(B, A)), line(B, sp.direction(B, C))),
+                angle(sp, line(C, sp.direction(C, A)), line(C, sp.direction(C, B))),
+            ]
+            got = [tm.a, tm.b, tm.c, tm.alpha, tm.beta_prime, tm.gamma]
+            assert all(type(m) is Measure for m in got)
+            assert [_bits(m) for m in got] == [_bits(m) for m in want], (sig, b, alpha, c)
+    assert measured == 191
+
+
+def test_measure_triangle_builds_its_rows_without_a_stack_result(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Measures built")
+
+    sp = Space("he")
+    tri = triangle_from_sas(sp, 0.7, 1.1, 0.9)
+    want = measure_triangle(tri)
+    monkeypatch.setattr(metric, "Measures", refuse)
+    got = measure_triangle(tri)
+    assert [_bits(getattr(got, f)) for f in TM_FIELDS] == [_bits(getattr(want, f)) for f in TM_FIELDS]
+    # Single pairs (a right triangle is measured pair by pair) never build one
+    # either; a stack does, so the patch is in force.
+    assert right_triangle_residuals(Space("ee"), 0.6, 0.8).alpha > 0.0
+    with pytest.raises(AssertionError, match="Measures built"):
+        distance(sp, np.array([tri.A, tri.B]), np.array([tri.B, tri.C]))
+
+
 def test_octant_triangle():
     tm = measure_triangle(triangle_from_sas(EE, math.pi / 2, math.pi / 2, math.pi / 2))
     for m in (tm.a, tm.b, tm.c, tm.alpha, tm.beta_prime, tm.gamma):
@@ -473,6 +533,16 @@ def test_variant_discrimination_mixed_signature():
         assert rep.variant_values[key]["corrected"] > 1e-5, key
         assert rep.variant_values[key]["as-printed"] <= 1e-12, key
     assert max(rep.residuals.values()) <= 1e-9
+
+
+def test_relative_difference_is_the_max_form():
+    # _rel scales by max(1, |lhs|, |rhs|) compared out: same bits, NaN skipped as max skips it.
+    special = [0.0, -0.0, 0.5, -1.0, 1.0, 3.0, -7.5e300, 1e-300, math.inf, -math.inf, math.nan]
+    for lhs, rhs in itertools.product(special, repeat=2):
+        with np.errstate(invalid="ignore"):
+            want = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        got = metric._rel(lhs, rhs)
+        assert repr(got) == repr(want), (lhs, rhs)
 
 
 def test_law_report_dict_shape():

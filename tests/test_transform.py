@@ -1,8 +1,10 @@
 """Generalized orthogonal transforms: generators, words, validation."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ckgeo import (
     inverse,
     random_transform,
     reflect,
+    transform,
     validate,
 )
 
@@ -287,6 +290,57 @@ def test_sampled_validation_draws_once_per_dimension(monkeypatch):
     assert validate(sp, g) == first
     assert validate(other, h).mode == "sampled"
     assert draws == []
+
+
+VALIDATE_GOLDEN = json.loads((Path(__file__).parent / "data" / "validate_golden.json").read_text())
+
+
+@pytest.mark.parametrize("sig", sorted(VALIDATE_GOLDEN["reports"]))
+def test_validate_reports_are_the_golden_bits(sig):
+    """validate gives the reports recorded in tests/data/validate_golden.json.
+
+    The fixture was written before sampled validation cached the seeded
+    pairs' own products.  For each of the 117 signatures with n = 2..4 it
+    holds four reports, in this order: random_transform(space, seed).matrix
+    for seed 0, the same matrix with M[0, 0] += 1e-4, and the two for seed 1.
+    A report is [ok, mode, worst_residual, *checks], each float as float.hex
+    and the checks in the order its "checks" entry names for the mode.
+    """
+    sp = Space(sig)
+    got = []
+    for seed in (0, 1):
+        mat = random_transform(sp, seed).matrix.copy()
+        for perturb in (False, True):
+            m = mat.copy()
+            if perturb:
+                m[0, 0] += 1e-4
+            rep = validate(sp, m)
+            assert [name for name, _ in rep.checks] == VALIDATE_GOLDEN["checks"][rep.mode]
+            got.append([rep.ok, rep.mode, rep.worst_residual.hex()] + [v.hex() for _, v in rep.checks])
+    assert got == VALIDATE_GOLDEN["reports"][sig]
+
+
+@pytest.mark.parametrize("sig", ["pe", "ehp", "pepe", "eeep"])
+def test_sampled_products_are_cached_read_only_and_fresh(sig, monkeypatch):
+    # One read-only set per signature, with the bits of the products formed afresh.
+    sp = Space(sig)
+    x, y, dots, radicands = cached = transform._sample_products(sp.sig)
+    assert transform._sample_products(sp.sig) is cached
+    assert all(not arr.flags.writeable for arr in cached)
+    with pytest.raises(ValueError):
+        dots[0] = 0.0
+    assert x.shape == y.shape == (32, sp.n + 1)
+    fresh_x, fresh_y = np.array(x), np.array(y)
+    for got, want in ((dots, sp.dot_points(fresh_x, fresh_y)), (radicands, sp.point_cross_radicand(fresh_x, fresh_y))):
+        assert got.tobytes() == np.asarray(want).tobytes()
+    # A sampled call forms the column products and the images' two products, nothing more.
+    passes = []
+    for name in ("dot_points", "point_cross_radicand"):
+        method = getattr(Space, name)
+        monkeypatch.setattr(Space, name, lambda self, a, b, _m=method, _n=name: passes.append(_n) or _m(self, a, b))
+    assert validate(sp, random_transform(sp, 2).matrix).mode == "sampled"
+    assert passes == ["dot_points", "dot_points", "point_cross_radicand"]
+    assert transform._sample_products(sp.sig) is cached
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
